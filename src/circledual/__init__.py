@@ -20,7 +20,6 @@ from .auxfun import (
     ZeroSet,
     angle_kernel,
     angle_kernel_abel,
-    angle_kernel_fdiff,
     li_three_halves,
     li_three_halves_circle,
     li_three_halves_sheet2,

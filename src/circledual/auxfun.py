@@ -9,23 +9,24 @@ Everything here revolves around series with sqrt-of-index coefficients:
     angle_kernel(phi)        g(phi)   = sum sqrt(n) e^{i n phi}        (Abel sense)
                                       = -f''(phi)
 
-F converges absolutely on the closed unit disk, so f is an honest function
-of the angle; g diverges term-wise on the circle and is defined as the
-Abel limit r -> 1- of S(r e^{i phi}), which exists for phi != 0 mod 2*pi.
-The kernel g carries every circle-site matrix element of the truncated
-oscillator operators, which is why its evaluation is cross-checked by two
-independent routes (series extrapolation and a Richardson second
-difference of f).
+F = Li_{3/2} converges absolutely on the closed unit disk, so f is an honest
+function of the angle; S = Li_{-1/2} diverges term-wise on the circle and g
+is its Abel limit r -> 1- of S(r e^{i phi}), which exists for phi != 0 mod
+2*pi.  The kernel g carries every circle-site matrix element of the
+truncated oscillator operators.
 
-On-circle evaluation of F uses a direct prefix sum plus an exact integral
-representation of the remainder: for integer a >= 1 and z off [1, inf),
+F and S share two evaluation routes, chosen by |z| alone: the direct power
+series for |z| <= 1/2, and beyond it the expansion about the branch point
+z = 1 (DLMF 25.12.12; D. C. Wood, The Computation of Polylogarithms, 1992)
 
-    sum_{n>=a} n^{-3/2} z^n
-        = z^a * a^{-3/2} / Gamma(3/2)
-          * int_0^inf u^{1/2} e^{-u} / (1 - z e^{-u/a}) du,
+    Li_s(e^mu) = Gamma(1 - s) (-mu)^(s-1) + sum_{k>=0} zeta(s - k) mu^k / k!,
 
-evaluated with generalized Gauss-Laguerre quadrature.  With the tail start
-a ~ 120 / |1 - z| the integrand is smooth and 80 nodes reach ~1e-16.
+convergent for |mu| < 2*pi.  With mu = log z and 1/2 < |z| <= 1, |mu| stays
+below 3.22, where 64 terms reach double precision.  Both orders
+read one frozen table of zeta(3/2 - k): zeta(-1/2 - k) is its entry k + 2.
+g is the same expansion at mu = i*phi, and every g is cross-checked at run
+time by one independent route, the polynomial extrapolation of damped
+partial sums (``angle_kernel_abel``), which shares no code with it.
 
 The analytic continuation beyond the circle lives on a double cover joined
 along the cut [1, inf).  The coordinate change
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,16 +58,46 @@ from .errors import (
     ZeroFindingError,
 )
 
-_GAMMA_3_2 = math.gamma(1.5)
 _TAU = 2.0 * math.pi
 
-# Tail start scales like _TAIL_SCALE / |1 - z|; floor keeps the quadrature
-# integrand slowly varying even for z far from 1.
-_TAIL_SCALE = 120.0
-_TAIL_MIN_START = 1000
+# Direct summation for |z| <= _DIRECT_RADIUS, the branch-point expansion
+# beyond.  At this radius both converge like 2^-k: 64 direct terms leave a
+# tail below 1e-18 for either series.
+_DIRECT_RADIUS = 0.5
+_DIRECT_TERMS = 64
 
-# Direct summation is preferred strictly inside the disk.
-_DISK_RADIUS = 0.99
+# zeta(3/2 - k) for k = 0..65, correctly rounded (tests regenerate it from
+# the functional equation).  zeta(-1/2 - k) is entry k + 2.
+_ZETA = (
+    2.612375348685488, -1.4603545088095868, -0.20788622497735457,
+    -0.025485201889833036, 0.008516928777850331, 0.004441011335479432,
+    -0.0030916692472158338, -0.0026714580198992244, 0.0027467679395368687,
+    0.00326903957260022, -0.00441603287300489, -0.006672172296466641,
+    0.011146122473942813, 0.02039697871594279, -0.04057496748119458,
+    -0.08717525590621725, 0.2011740493842269, 0.4962712199120576,
+    -1.303229250705114, -3.629759299774574, 10.687327069021993,
+    33.168325785694606, -108.21747505877606, -370.3018783754786,
+    1326.0458117490157, 4959.598315043044, -19338.94198837462,
+    -78486.1485692177, 331023.6487454503, 1448811.3705827263,
+    -6571686.491569958, -30854533.472396765, 149774871.27793476,
+    750878449.993701, -3883945551.454817, -20707995961.81036,
+    113704407197.95488, 642429955212.9208, -3731975458109.906,
+    -22273587812036.406, 136480636625888.48, 858001934235335.9,
+    -5530487585144642.0, -3.652848413068549e+16, 2.470817745547093e+17,
+    1.7106064309209495e+18, -1.2115190377880257e+19, -8.773275579882408e+19,
+    6.492842316752471e+20, 4.908497759780087e+21, -3.788876655878798e+22,
+    -2.9849413203155725e+23, 2.3990942381357322e+24, 1.96641269075432e+25,
+    -1.643062574433969e+26, -1.399033188337968e+27, 1.213513608731132e+28,
+    1.0719086258305835e+29, -9.63887493342347e+29, -8.820928901118726e+30,
+    8.212782458059954e+31, 7.777274302194957e+32, -7.488639476304185e+33,
+    -7.329902036574517e+34, 7.291188384376156e+35, 7.36872206966174e+36,
+)
+# Terms of the branch-point sum: for |mu| <= 3.22 the k-th term shrinks
+# like (|mu| / 2 pi)^k, below 1e-19 of the value by k = 64.
+_EXPANSION_TERMS = 64
+# Roundoff of the expansion, in units of the summed magnitudes: covers the
+# Horner sum and the rounding of mu = log z (measured worst: 1.5 eps).
+_ROUNDOFF = 4.0 * sys.float_info.epsilon
 
 _CHUNK = 1_000_000
 
@@ -75,7 +107,12 @@ KERNEL_GUARD = 1e-3
 
 @dataclass(frozen=True)
 class SeriesAccuracy:
-    """Accuracy contract for infinite-series evaluation."""
+    """Accuracy contract for infinite-series evaluation.
+
+    ``abs_tol`` is the absolute accuracy every evaluator promises (the
+    closed-form routes of F and S reach double precision regardless);
+    ``max_terms`` caps each damped sum of the Abel route for g.
+    """
 
     abs_tol: float = 1e-12
     max_terms: int = 20_000_000
@@ -127,146 +164,63 @@ def _polyval(coeffs_high_first: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# quadrature backend for the on-circle remainder
+# the two routes for Li_{3/2} = F and Li_{-1/2} = S
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _direct_series(z: complex, power: float) -> SeriesResult:
+    """sum_{n>=1} n^power z^n for |z| <= _DIRECT_RADIUS."""
+    if z == 0:
+        return SeriesResult(0j, 0.0, 0)
+    n = np.arange(1, _DIRECT_TERMS + 1, dtype=np.float64)
+    total = complex(np.sum(n**power * np.exp(n * cmath.log(z))))
+    # n^power r^n falls by at least the ratio q beyond n = m
+    m, r = _DIRECT_TERMS, abs(z)
+    q = r * max(1.0, ((m + 2.0) / (m + 1.0)) ** power)
+    tail = (m + 1.0) ** power * r ** (m + 1) / (1.0 - q)
+    return SeriesResult(total, tail + 1e-15, _DIRECT_TERMS)
 
 
-def _gauss_laguerre_half(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for int_0^inf u^{1/2} e^{-u} h(u) du (Golub-Welsch)."""
-    cached = _GL_CACHE.get(npts)
-    if cached is not None:
-        return cached
-    alpha = 0.5
-    k = np.arange(npts, dtype=np.float64)
-    jac = np.diag(2.0 * k + alpha + 1.0)
-    sub = np.sqrt(k[1:] * (k[1:] + alpha))
-    jac += np.diag(sub, 1) + np.diag(sub, -1)
-    nodes, vectors = np.linalg.eigh(jac)
-    weights = math.gamma(alpha + 1.0) * vectors[0, :] ** 2
-    _GL_CACHE[npts] = (nodes, weights)
-    return nodes, weights
+def _branch_point_series(mu: complex, shift: int) -> SeriesResult:
+    """Li_s(e^mu) for s = 3/2 - shift (shift 0 or 2), Re mu <= 0, |mu| <= 3.22.
 
-
-def _tail_integral(z: complex, start: int) -> tuple[complex, float]:
-    """sum_{n=start}^inf n^{-3/2} z^n for |z| <= 1, z != 1, integer start."""
-    x_hi, w_hi = _gauss_laguerre_half(80)
-    x_lo, w_lo = _gauss_laguerre_half(64)
-    v_hi = complex(np.sum(w_hi / (1.0 - z * np.exp(-x_hi / start))))
-    v_lo = complex(np.sum(w_lo / (1.0 - z * np.exp(-x_lo / start))))
-    prefactor = start**-1.5 / _GAMMA_3_2
-    z_pow = cmath.exp(start * cmath.log(z))
-    value = z_pow * prefactor * v_hi
-    error = abs(z_pow) * prefactor * (abs(v_hi - v_lo) + 1e-15 * abs(v_hi))
-    return value, error
-
-
-def _prefix_sum(z: complex, last: int, exponent: float) -> complex:
-    """sum_{n=1}^{last} n^{-exponent} z^n, chunked to bound memory."""
-    if last < 1:
-        return 0j
+    The singular term Gamma(1 - s) (-mu)^(s-1) is Gamma(shift - 1/2)
+    sqrt(-mu) / mu^shift; the regular sum runs by Horner's rule, next to a
+    Horner sum of the term magnitudes that scales the roundoff estimate.
+    """
+    singular = math.gamma(shift - 0.5) * cmath.sqrt(-mu) / mu**shift
     total = 0j
-    log_z = cmath.log(z)
-    start = 1
-    while start <= last:
-        stop = min(last, start + _CHUNK - 1)
-        n = np.arange(start, stop + 1, dtype=np.float64)
-        total += complex(np.sum(np.exp(n * log_z) * n**-exponent))
-        start = stop + 1
-    return total
+    scale = 0.0
+    radius = abs(mu)
+    for k in range(_EXPANSION_TERMS - 1, 0, -1):
+        total = (total + _ZETA[k + shift]) * mu / k
+        scale = (scale + abs(_ZETA[k + shift])) * radius / k
+    value = singular + total + _ZETA[shift]
+    error = _ROUNDOFF * (abs(singular) + scale + abs(_ZETA[shift]))
+    return SeriesResult(value, error, _EXPANSION_TERMS)
 
 
 # --------------------------------------------------------------------------
 # F = Li_{3/2} on the closed disk, f on the circle
 
 
-def _zeta_three_halves() -> float:
-    """F(1) by direct sum plus the standard power-tail corrections."""
-    m = 200_000
-    n = np.arange(1, m + 1, dtype=np.float64)
-    partial = math.fsum((n**-1.5).tolist())
-    a = float(m + 1)
-    tail = 2.0 * a**-0.5 + 0.5 * a**-1.5 + 0.125 * a**-2.5 - (105.0 / 5760.0) * a**-4.5
-    return partial + tail
-
-
-_ZETA_3_2 = _zeta_three_halves()
-
-
-def li_three_halves(
-    z: complex,
-    acc: SeriesAccuracy = DEFAULT_ACCURACY,
-    tail_start: int | None = None,
-) -> SeriesResult:
+def li_three_halves(z: complex, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
     """F(z) = sum z^n / (n sqrt n) on the closed unit disk.
 
-    Direct summation inside |z| <= 0.99; prefix sum plus the exact
-    remainder integral on and near the circle.  ``tail_start`` pins the
-    split point so stencils of nearby evaluations share identical error
-    behavior (used by the kernel's finite-difference route).
-
-    Raises DomainError outside the closed disk and ConvergenceError when
-    the requested tolerance is unreachable within acc.max_terms.
+    Direct summation for |z| <= 1/2, the branch-point expansion beyond it,
+    up to and including z = 1 (F(1) = zeta(3/2)).  Both reach double
+    precision, so ``acc`` never shortens them; the error field is a
+    truncation bound plus a roundoff floor proportional to the magnitudes
+    summed.  Raises DomainError outside the closed disk.
     """
     z = complex(z)
     magnitude = abs(z)
     if magnitude > 1.0 + 1e-12:
         raise DomainError(f"|z| = {magnitude:.6g} > 1; use the second-sheet form")
-    if z == 0:
-        return SeriesResult(0j, 0.0, 0)
-
-    if magnitude <= _DISK_RADIUS and tail_start is None:
-        return _li_three_halves_direct(z, acc)
-
-    distance = abs(1.0 - z)
-    if distance < 1e-15:
-        return SeriesResult(complex(_ZETA_3_2), 5e-16, 200_000)
-
-    start = tail_start if tail_start is not None else _tail_start_for(z)
-    if start - 1 > acc.max_terms:
-        capped = max(_TAIL_MIN_START, acc.max_terms)
-        value, error = _tail_integral(z, capped)
-        value += _prefix_sum(z, capped - 1, 1.5)
-        raise ConvergenceError(
-            f"tail start {start} exceeds max_terms {acc.max_terms} "
-            f"(z within {distance:.3g} of 1)",
-            best_estimate=value,
-            error_estimate=error + 1e-12,
-            terms=capped,
-        )
-    tail_value, tail_error = _tail_integral(z, start)
-    prefix = _prefix_sum(z, start - 1, 1.5)
-    # prefix roundoff: pairwise summation of ~start bounded terms
-    roundoff = 3e-16 * (1.0 + math.log2(max(start, 2)))
-    return SeriesResult(prefix + tail_value, tail_error + roundoff, start - 1)
-
-
-def _tail_start_for(z: complex) -> int:
-    return max(_TAIL_MIN_START, int(math.ceil(_TAIL_SCALE / abs(1.0 - z))))
-
-
-def _li_three_halves_direct(z: complex, acc: SeriesAccuracy) -> SeriesResult:
-    magnitude = abs(z)
-    total = 0j
-    log_z = cmath.log(z)
-    n0 = 1
-    block = 4096
-    while True:
-        n = np.arange(n0, n0 + block, dtype=np.float64)
-        total += complex(np.sum(np.exp(n * log_z) * n**-1.5))
-        n0 += block
-        m = n0 - 1
-        bound = magnitude ** (m + 1) / ((m + 1) ** 1.5 * (1.0 - magnitude))
-        if bound <= acc.abs_tol * 0.5 or bound < 1e-17:
-            return SeriesResult(total, bound + 1e-15, m)
-        if m > acc.max_terms:
-            raise ConvergenceError(
-                f"direct series for F needs more than {acc.max_terms} terms",
-                best_estimate=total,
-                error_estimate=bound,
-                terms=m,
-            )
+    if magnitude <= _DIRECT_RADIUS:
+        return _direct_series(z, -1.5)
+    mu = cmath.log(z)
+    # the tolerance above admits points just outside the circle: take them onto it
+    return _branch_point_series(complex(min(mu.real, 0.0), mu.imag), 0)
 
 
 def reduce_angle(phi: float) -> float:
@@ -278,10 +232,11 @@ def reduce_angle(phi: float) -> float:
 def li_three_halves_circle(
     phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY
 ) -> SeriesResult:
-    """f(phi) = F(e^{i phi}); real coefficients give f(-phi) = conj(f(phi))."""
-    phi = reduce_angle(phi)
-    z = complex(math.cos(phi), math.sin(phi))
-    return li_three_halves(z, acc)
+    """f(phi) = F(e^{i phi}), the branch-point expansion at mu = i phi.
+
+    Real coefficients give f(-phi) = conj(f(phi)) exactly.
+    """
+    return _branch_point_series(complex(0.0, reduce_angle(phi)), 0)
 
 
 def li_three_halves_sheet2(
@@ -299,34 +254,14 @@ def li_three_halves_sheet2(
 
 
 def sqrt_series_disk(z: complex, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
-    """S(z) = sum sqrt(n) z^n for |z| < 1 by direct summation."""
+    """S(z) = sum sqrt(n) z^n for |z| < 1, by the routes of ``li_three_halves``."""
     z = complex(z)
     magnitude = abs(z)
     if magnitude >= 1.0:
         raise DomainError(f"series converges only for |z| < 1, got {magnitude:.6g}")
-    if z == 0:
-        return SeriesResult(0j, 0.0, 0)
-    total = 0j
-    log_z = cmath.log(z)
-    n0 = 1
-    block = 4096
-    while True:
-        n = np.arange(n0, n0 + block, dtype=np.float64)
-        total += complex(np.sum(np.sqrt(n) * np.exp(n * log_z)))
-        n0 += block
-        m = n0 - 1
-        # sqrt(n) <= sqrt(m+1) + (n - m - 1) for n > m
-        rm = magnitude ** (m + 1)
-        bound = rm * (math.sqrt(m + 1) / (1.0 - magnitude) + magnitude / (1.0 - magnitude) ** 2)
-        if bound <= acc.abs_tol * 0.5 or bound < 1e-17:
-            return SeriesResult(total, bound + 1e-15, m)
-        if m > acc.max_terms:
-            raise ConvergenceError(
-                f"sqrt series needs more than {acc.max_terms} terms at |z| = {magnitude:.6g}",
-                best_estimate=total,
-                error_estimate=bound,
-                terms=m,
-            )
+    if magnitude <= _DIRECT_RADIUS:
+        return _direct_series(z, 0.5)
+    return _branch_point_series(cmath.log(z), 2)
 
 
 def sqrt_series_sheet2(z: complex, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
@@ -399,65 +334,28 @@ def angle_kernel_abel(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> Ser
     return SeriesResult(value, est + 1e-14 * abs(value), total_terms)
 
 
-def angle_kernel_fdiff(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
-    """g(phi) = -f''(phi) by central second differences of f.
+def angle_kernel(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
+    """g(phi) by the branch-point expansion, cross-checked by the Abel route.
 
-    Steps h and h/2 are combined to fourth order.  h = 1e-3 except close
-    to the singularity, where the h**6 truncation term of the combination
-    would exceed the method's own tolerance; there h shrinks like phi/30.
+    Returns the expansion value; the error field is the larger of its own
+    estimate and the observed disagreement with ``angle_kernel_abel``.
+    Raises NearSingularityError within KERNEL_GUARD of 0 mod 2*pi and
+    ConvergenceError if the routes differ by more than max(1e-6, 1e-4 |g|).
     """
     phi = _check_kernel_angle(phi)
-    h = min(1e-3, abs(phi) / 30.0)
-    stencil = [phi, phi + h, phi - h, phi + h / 2.0, phi - h / 2.0]
-    # shared tail start keeps the evaluation error smooth across the stencil
-    start = max(
-        _tail_start_for(complex(math.cos(p), math.sin(p))) for p in stencil
-    )
-    if start - 1 > acc.max_terms:
-        raise ConvergenceError(
-            f"finite-difference stencil needs tail start {start} > budget {acc.max_terms}",
-            terms=start,
-        )
-    values = {}
-    terms = 0
-    for p in stencil:
-        z = complex(math.cos(p), math.sin(p))
-        res = li_three_halves(z, acc, tail_start=start)
-        values[p] = res.value
-        terms += res.terms
-
-    def second_diff(step: float) -> complex:
-        return (values[phi + step] - 2.0 * values[phi] + values[phi - step]) / step**2
-
-    d_h = second_diff(h)
-    d_half = second_diff(h / 2.0)
-    value = -(16.0 * d_half - d_h) / 15.0
-    # noise floor ~ f roundoff / (h/2)^2, truncation ~ h^6 scale
-    error = 2e-15 / (h / 2.0) ** 2 + abs(d_half - d_h) / 15.0
-    return SeriesResult(value, error, terms)
-
-
-def angle_kernel(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
-    """g(phi) with the two independent routes cross-checked.
-
-    Returns the extrapolated-series value; the error field carries the
-    observed disagreement.  Raises ConvergenceError if the routes differ
-    by more than max(1e-6, 1e-4 |g|).
-    """
-    series = angle_kernel_abel(phi, acc)
-    fdiff = angle_kernel_fdiff(phi, acc)
-    disagreement = abs(series.value - fdiff.value)
-    tolerance = max(1e-6, 1e-4 * abs(series.value))
+    primary = _branch_point_series(complex(0.0, phi), 2)
+    check = angle_kernel_abel(phi, acc)
+    disagreement = abs(primary.value - check.value)
+    tolerance = max(1e-6, 1e-4 * abs(primary.value))
+    terms = primary.terms + check.terms
     if disagreement > tolerance:
         raise ConvergenceError(
             f"kernel routes disagree by {disagreement:.3e} > {tolerance:.3e} at phi = {phi}",
-            best_estimate=series.value,
+            best_estimate=primary.value,
             error_estimate=disagreement,
-            terms=series.terms + fdiff.terms,
+            terms=terms,
         )
-    return SeriesResult(
-        series.value, max(series.error, disagreement), series.terms + fdiff.terms
-    )
+    return SeriesResult(primary.value, max(primary.error, disagreement), terms)
 
 
 # --------------------------------------------------------------------------
@@ -531,20 +429,27 @@ def map_to_z(y: complex, sheet: int = 1) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """All complex roots of sqrt_series(degree, .), sorted by argument."""
+    """All complex roots of sqrt_series(degree, .), sorted by argument,
+    with the per-root residuals |S_degree(root)|."""
 
     degree: int
     roots: np.ndarray
-    residual: float
+    residuals: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.roots, dtype=np.complex128, copy=True)
-        if arr.ndim != 1 or arr.size != self.degree:
-            raise DimensionError(
-                f"need exactly {self.degree} roots, got shape {arr.shape}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "roots", arr)
+        for name, dtype in (("roots", np.complex128), ("residuals", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
+            if arr.ndim != 1 or arr.size != self.degree:
+                raise DimensionError(
+                    f"need exactly {self.degree} {name}, got shape {arr.shape}"
+                )
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def residual(self) -> float:
+        """The worst per-root residual."""
+        return float(np.max(self.residuals))
 
     def near_circle_fraction(self, band: float = 0.1) -> float:
         """Fraction of roots with ||z| - 1| < band."""
@@ -584,11 +489,11 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
 
     order = np.lexsort((np.abs(roots), np.angle(roots)))
     roots = roots[order]
-    residual = float(np.max(np.abs(_polyval(coeffs, roots))))
+    zero_set = ZeroSet(degree=degree, roots=roots, residuals=np.abs(_polyval(coeffs, roots)))
     bound = 1e-8 * float(np.max(np.abs(coeffs)))
-    if residual > bound:
+    if zero_set.residual > bound:
         raise ZeroFindingError(
-            f"post-polish residual {residual:.3e} exceeds bound {bound:.3e}",
-            diagnostics={"degree": degree, "residual": residual, "bound": bound},
+            f"post-polish residual {zero_set.residual:.3e} exceeds bound {bound:.3e}",
+            diagnostics={"degree": degree, "residual": zero_set.residual, "bound": bound},
         )
-    return ZeroSet(degree=degree, roots=roots, residual=residual)
+    return zero_set

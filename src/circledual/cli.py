@@ -369,9 +369,6 @@ def _cmd_zeros(args) -> int:
     zero_set = sqrt_series_zeros(args.n)
     roots = zero_set.roots
     coeffs = np.sqrt(np.arange(1, args.n + 1, dtype=np.float64))
-    per_root = np.abs(
-        np.array([sqrt_series(args.n, z) for z in roots], dtype=np.complex128)
-    )
     fig = FigureData(
         columns={
             "index": np.arange(args.n),
@@ -379,7 +376,7 @@ def _cmd_zeros(args) -> int:
             "im": roots.imag,
             "modulus": np.abs(roots),
             "argument": np.angle(roots),
-            "residual": per_root,
+            "residual": zero_set.residuals,
         },
         metadata=make_metadata(
             "zeros",

@@ -173,6 +173,16 @@ def test_auxfun_eval_z_functions(tmp_path):
     assert main(["auxfun-eval", "--function", "G2", "--z", "2:1", "--out", str(out2)]) == 0
 
 
+def test_auxfun_eval_f_next_to_branch_point(tmp_path):
+    mpmath = pytest.importorskip("mpmath")
+    out = tmp_path / "f.csv"
+    assert main(["auxfun-eval", "--function", "F", "--z=0.999999:0", "--out", str(out)]) == 0
+    _, data = read_csv(out)
+    with mpmath.workdps(30):
+        exact = complex(mpmath.polylog(1.5, 0.999999))
+    assert abs(complex(data[0, 2], data[0, 3]) - exact) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

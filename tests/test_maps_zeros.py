@@ -275,4 +275,6 @@ def test_zero_degree_bounds():
 
 def test_zero_set_validation():
     with pytest.raises(DimensionError):
-        ZeroSet(degree=3, roots=np.zeros(2, dtype=complex), residual=0.0)
+        ZeroSet(degree=3, roots=np.zeros(2, dtype=complex), residuals=np.zeros(3))
+    with pytest.raises(DimensionError):
+        ZeroSet(degree=2, roots=np.zeros(2, dtype=complex), residuals=np.zeros(3))
