@@ -12,11 +12,8 @@ verification reports and figure data as deterministic CSV/JSON artifacts.
 __version__ = "0.1.0"
 
 from .auxfun import (
-    DEFAULT_ACCURACY,
     KERNEL_GUARD,
-    SeriesAccuracy,
     SeriesResult,
-    SheetPoint,
     ZeroSet,
     angle_kernel,
     angle_kernel_abel,
@@ -26,9 +23,7 @@ from .auxfun import (
     map_to_y,
     map_to_z,
     reduce_angle,
-    sheet_of,
     sqrt_series,
-    sqrt_series_at,
     sqrt_series_disk,
     sqrt_series_sheet2,
     sqrt_series_zeros,
@@ -36,10 +31,8 @@ from .auxfun import (
 from .dynamics import (
     AngleDistribution,
     CirclePhase,
-    OscillatorBank,
     born_distribution,
     duality_deviation,
-    evolve_bank,
     evolve_classical,
     evolve_quantum,
     offgrid_deviation,
@@ -67,7 +60,6 @@ from .figdata import (
     write_json,
 )
 from .hilbert import (
-    AngleGrid,
     Basis,
     DualityMap,
     StateVector,
@@ -80,13 +72,10 @@ from .hilbert import (
 )
 from .operators import (
     OperatorMatrix,
-    OscillatorConfig,
-    apply_operator,
     build_hamiltonian,
     build_ladder,
     build_position_momentum,
     commutator,
     conjugate_to_ontological,
-    ontological_element,
     ontological_matrix,
 )

@@ -105,28 +105,6 @@ _CHUNK = 1_000_000
 KERNEL_GUARD = 1e-3
 
 
-@dataclass(frozen=True)
-class SeriesAccuracy:
-    """Accuracy contract for infinite-series evaluation.
-
-    ``abs_tol`` is the absolute accuracy every evaluator promises (the
-    closed-form routes of F and S reach double precision regardless);
-    ``max_terms`` caps each damped sum of the Abel route for g.
-    """
-
-    abs_tol: float = 1e-12
-    max_terms: int = 20_000_000
-
-    def __post_init__(self):
-        if not self.abs_tol >= 1e-14:
-            raise ValueError(f"abs_tol must be >= 1e-14, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_ACCURACY = SeriesAccuracy()
-
-
 class SeriesResult(NamedTuple):
     """Value of a series evaluation with an absolute error estimate."""
 
@@ -203,14 +181,14 @@ def _branch_point_series(mu: complex, shift: int) -> SeriesResult:
 # F = Li_{3/2} on the closed disk, f on the circle
 
 
-def li_three_halves(z: complex, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
+def li_three_halves(z: complex) -> SeriesResult:
     """F(z) = sum z^n / (n sqrt n) on the closed unit disk.
 
     Direct summation for |z| <= 1/2, the branch-point expansion beyond it,
     up to and including z = 1 (F(1) = zeta(3/2)).  Both reach double
-    precision, so ``acc`` never shortens them; the error field is a
-    truncation bound plus a roundoff floor proportional to the magnitudes
-    summed.  Raises DomainError outside the closed disk.
+    precision; the error field is a truncation bound plus a roundoff floor
+    proportional to the magnitudes summed.  Raises DomainError outside the
+    closed disk.
     """
     z = complex(z)
     magnitude = abs(z)
@@ -229,9 +207,7 @@ def reduce_angle(phi: float) -> float:
     return math.pi if r == -math.pi else r
 
 
-def li_three_halves_circle(
-    phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY
-) -> SeriesResult:
+def li_three_halves_circle(phi: float) -> SeriesResult:
     """f(phi) = F(e^{i phi}), the branch-point expansion at mu = i phi.
 
     Real coefficients give f(-phi) = conj(f(phi)) exactly.
@@ -239,21 +215,19 @@ def li_three_halves_circle(
     return _branch_point_series(complex(0.0, reduce_angle(phi)), 0)
 
 
-def li_three_halves_sheet2(
-    z: complex, acc: SeriesAccuracy = DEFAULT_ACCURACY
-) -> SeriesResult:
+def li_three_halves_sheet2(z: complex) -> SeriesResult:
     """Second-sheet continuation of F: the same series in 1/z, |z| > 1."""
     z = complex(z)
     if abs(z) <= 1.0:
         raise DomainError(f"second sheet needs |z| > 1, got |z| = {abs(z):.6g}")
-    return li_three_halves(1.0 / z, acc)
+    return li_three_halves(1.0 / z)
 
 
 # --------------------------------------------------------------------------
 # the full sqrt series: disk, second sheet, and the circle kernel
 
 
-def sqrt_series_disk(z: complex, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
+def sqrt_series_disk(z: complex) -> SeriesResult:
     """S(z) = sum sqrt(n) z^n for |z| < 1, by the routes of ``li_three_halves``."""
     z = complex(z)
     magnitude = abs(z)
@@ -264,22 +238,18 @@ def sqrt_series_disk(z: complex, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> Seri
     return _branch_point_series(cmath.log(z), 2)
 
 
-def sqrt_series_sheet2(z: complex, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
+def sqrt_series_sheet2(z: complex) -> SeriesResult:
     """Second-sheet value sum sqrt(n) z^{-n}, convergent for |z| > 1."""
     z = complex(z)
     if abs(z) <= 1.0:
         raise DomainError(f"second sheet needs |z| > 1, got |z| = {abs(z):.6g}")
-    return sqrt_series_disk(1.0 / z, acc)
+    return sqrt_series_disk(1.0 / z)
 
 
-def _damped_sqrt_sum(phi: float, eps: float, max_terms: int) -> tuple[complex, int]:
+def _damped_sqrt_sum(phi: float, eps: float) -> tuple[complex, int]:
     """sum sqrt(n) ((1-eps) e^{i phi})^n, truncated far below double roundoff."""
+    # KERNEL_GUARD caps n_max at 13,312,009; the _CHUNK blocks cap the memory
     n_max = int(math.ceil(52.0 / eps)) + 8
-    if n_max > max_terms:
-        raise ConvergenceError(
-            f"Abel sample at eps={eps:.3g} needs {n_max} terms > budget {max_terms}",
-            terms=n_max,
-        )
     log_z = math.log1p(-eps) + 1j * phi
     total = 0j
     start = 1
@@ -313,7 +283,7 @@ def _check_kernel_angle(phi: float) -> float:
     return phi
 
 
-def angle_kernel_abel(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
+def angle_kernel_abel(phi: float) -> SeriesResult:
     """g(phi) as the Abel limit r -> 1- of S(r e^{i phi}).
 
     Seven radii with (1 - r) halving geometrically feed a polynomial
@@ -327,14 +297,14 @@ def angle_kernel_abel(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> Ser
     total_terms = 0
     ys = []
     for eps in xs:
-        value, used = _damped_sqrt_sum(phi, eps, acc.max_terms)
+        value, used = _damped_sqrt_sum(phi, eps)
         ys.append(value)
         total_terms += used
     value, est = _extrapolate_to_zero(xs, ys)
     return SeriesResult(value, est + 1e-14 * abs(value), total_terms)
 
 
-def angle_kernel(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
+def angle_kernel(phi: float) -> SeriesResult:
     """g(phi) by the branch-point expansion, cross-checked by the Abel route.
 
     Returns the expansion value; the error field is the larger of its own
@@ -344,7 +314,7 @@ def angle_kernel(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesRe
     """
     phi = _check_kernel_angle(phi)
     primary = _branch_point_series(complex(0.0, phi), 2)
-    check = angle_kernel_abel(phi, acc)
+    check = angle_kernel_abel(phi)
     disagreement = abs(primary.value - check.value)
     tolerance = max(1e-6, 1e-4 * abs(primary.value))
     terms = primary.terms + check.terms
@@ -360,32 +330,6 @@ def angle_kernel(phi: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesRe
 
 # --------------------------------------------------------------------------
 # two-sheet coordinate change
-
-
-@dataclass(frozen=True)
-class SheetPoint:
-    """A point of the double cover: complex coordinate plus sheet index."""
-
-    coord: complex
-    sheet: int
-
-    def __post_init__(self):
-        if self.sheet not in (1, 2):
-            raise ValueError(f"sheet must be 1 or 2, got {self.sheet}")
-
-
-def sheet_of(z: complex) -> SheetPoint:
-    """Classify a z-plane point: sheet 1 for |z| <= 1, else sheet 2."""
-    z = complex(z)
-    return SheetPoint(z, 1 if abs(z) <= 1.0 else 2)
-
-
-def sqrt_series_at(point: SheetPoint, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> SeriesResult:
-    """Evaluate the sqrt series at a sheet-tagged z-plane point."""
-    z = complex(point.coord)
-    if point.sheet == 1:
-        return sqrt_series_disk(z, acc)
-    return sqrt_series_sheet2(z, acc)
 
 
 def map_to_y(z: complex) -> complex:
@@ -406,7 +350,7 @@ def map_to_z(y: complex, sheet: int = 1) -> complex:
     side.  y = 0 maps to z = 0 on sheet 1 and to infinity on sheet 2.
     """
     if sheet not in (1, 2):
-        raise ValueError(f"sheet must be 1 or 2, got {sheet}")
+        raise DomainError(f"sheet must be 1 or 2, got {sheet}")
     y = complex(y)
     if y == 0:
         if sheet == 1:

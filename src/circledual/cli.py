@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .auxfun import (
-    DEFAULT_ACCURACY,
     SeriesResult,
     angle_kernel,
     li_three_halves,
@@ -38,7 +37,7 @@ from .dynamics import (
     offgrid_deviation,
     transport_steps,
 )
-from .errors import CircleDualError
+from .errors import CircleDualError, ConvergenceError, ZeroFindingError
 from .figdata import (
     FigureData,
     domain_map_closure_gap,
@@ -75,25 +74,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
+    value = _finite_float(text)
+    if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _radius_spec(text: str) -> list[float]:
     """Either 'start:stop:step' or a comma-separated list."""
     if ":" in text:
         try:
-            start, stop, step = (float(tok) for tok in text.split(":"))
+            start, stop, step = (_finite_float(tok) for tok in text.split(":"))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad radius range {text!r}") from exc
         if step <= 0:
@@ -136,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=11)
     p.add_argument("--omega", type=_positive_float, default=1.0)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--tolerance", type=_positive_float, default=DUALITY_TOL)
     common(p, "json")
     p.set_defaults(handler=_cmd_duality_check)
@@ -188,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=_positive_float, default=1.0)
     p.add_argument("--state", default="random", help="'random', 'ont:<s>' or 'energy:<n>'")
     p.add_argument("--steps", type=int, default=None, help="stroboscopic step count k")
-    p.add_argument("--time", type=float, default=None, help="arbitrary evolution time")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--time", type=_finite_float, default=None, help="arbitrary evolution time")
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     common(p, "csv")
     p.set_defaults(handler=_cmd_evolve)
 
@@ -203,6 +216,13 @@ def _fail(command: str, exc: Exception) -> int:
         "error": type(exc).__name__,
         "message": str(exc),
     }
+    if isinstance(exc, ConvergenceError):
+        best = exc.best_estimate
+        if best is not None:
+            best = [complex(best).real, complex(best).imag]
+        report.update(best_estimate=best, error_estimate=exc.error_estimate, terms=exc.terms)
+    elif isinstance(exc, ZeroFindingError):
+        report["diagnostics"] = exc.diagnostics
     print(json.dumps(report, sort_keys=True))
     return 1
 
@@ -415,7 +435,7 @@ def _cmd_map_domains(args) -> int:
 
 
 def _cmd_f_curve(args) -> int:
-    fig = emit_f_curve(args.samples, DEFAULT_ACCURACY, args.timestamp)
+    fig = emit_f_curve(args.samples, args.timestamp)
     write_figure(fig, args.out, args.format)
     return 0
 
@@ -423,11 +443,15 @@ def _cmd_f_curve(args) -> int:
 def _parse_initial_state(spec: str, n: int, seed: int):
     if spec == "random":
         return random_state(n, np.random.default_rng(seed))
-    if spec.startswith("ont:"):
-        return ontological_state(int(spec[4:]), n)
-    if spec.startswith("energy:"):
-        return energy_state(int(spec[7:]), n)
-    raise CircleDualError(f"unknown state spec {spec!r}")
+    kind, _, text = spec.partition(":")
+    make = {"ont": ontological_state, "energy": energy_state}.get(kind)
+    try:
+        index = int(text)
+    except ValueError:
+        make = None
+    if make is None:
+        raise CircleDualError(f"unknown state spec {spec!r}")
+    return make(index, n)
 
 
 def _cmd_evolve(args) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, NormalizationError, StroboscopicError
+from .errors import BasisError, DimensionError, DomainError, NormalizationError, StroboscopicError
 from .hilbert import (
     Basis,
     DualityMap,
@@ -45,7 +45,7 @@ class CirclePhase:
 
     def __post_init__(self):
         if not math.isfinite(self.phi):
-            raise ValueError(f"phase must be finite, got {self.phi}")
+            raise DomainError(f"phase must be finite, got {self.phi}")
         object.__setattr__(self, "phi", self.phi % _TAU)
 
 
@@ -73,53 +73,20 @@ class AngleDistribution:
         return self.weights.size
 
 
-@dataclass(frozen=True, eq=False)
-class OscillatorBank:
-    """Independent circle rotors with individual angular frequencies."""
-
-    omegas: tuple[float, ...]
-    phases: tuple[CirclePhase, ...]
-
-    def __post_init__(self):
-        omegas = tuple(float(w) for w in self.omegas)
-        phases = tuple(self.phases)
-        if len(omegas) != len(phases):
-            raise DimensionError(
-                f"{len(omegas)} frequencies vs {len(phases)} phases"
-            )
-        if any(not (w > 0.0 and math.isfinite(w)) for w in omegas):
-            raise ValueError("all frequencies must be positive and finite")
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "phases", phases)
-
-    @property
-    def count(self) -> int:
-        return len(self.omegas)
-
-
 def evolve_classical(phase: CirclePhase, t: float, omega: float = 1.0) -> CirclePhase:
     """Rigid rotation phi -> phi + omega*t mod 2*pi."""
     if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+        raise DomainError(f"time must be finite, got {t}")
     return CirclePhase(phase.phi + omega * t)
-
-
-def evolve_bank(bank: OscillatorBank, t: float) -> OscillatorBank:
-    """Component-wise classical evolution of every rotor."""
-    return OscillatorBank(
-        omegas=bank.omegas,
-        phases=tuple(
-            evolve_classical(p, t, w) for p, w in zip(bank.phases, bank.omegas)
-        ),
-    )
 
 
 def evolve_quantum(state: StateVector, t: float, omega: float = 1.0) -> StateVector:
     """Multiply energy amplitude n by exp(-1j*n*omega*t); norm is preserved."""
     if state.basis is not Basis.ENERGY:
         raise BasisError(f"quantum evolution needs an energy-basis state, got {state.basis}")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    # the largest phase, not t alone: a finite t can still overflow n*omega*t
+    if not math.isfinite(state.dim * omega * t):
+        raise DomainError(f"phase N*omega*t must be finite, got t = {t}, omega = {omega}")
     n = np.arange(state.dim)
     phases = np.exp(-1j * n * omega * t)
     return StateVector(Basis.ENERGY, phases * state.amplitudes)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .auxfun import DEFAULT_ACCURACY, SeriesAccuracy, li_three_halves_circle, map_to_y
+from .auxfun import li_three_halves_circle, map_to_y
 from .errors import DimensionError, DomainError
 
 
@@ -55,7 +55,7 @@ def _format_number(value) -> str:
         return str(int(value))
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite value {value!r}")
+        raise DomainError(f"cannot serialize non-finite value {value!r}")
     return format(value, ".17g")
 
 
@@ -118,16 +118,12 @@ def emit_spectrum(n: int, omega: float = 1.0, timestamp: str | None = None) -> F
     )
 
 
-def emit_f_curve(
-    samples: int = 720,
-    acc: SeriesAccuracy = DEFAULT_ACCURACY,
-    timestamp: str | None = None,
-) -> FigureData:
+def emit_f_curve(samples: int = 720, timestamp: str | None = None) -> FigureData:
     """f on the closed angle range [-pi, pi], samples+1 rows inclusive."""
     if samples < 2:
         raise DimensionError(f"need at least 2 samples, got {samples}")
     phi = -math.pi + 2.0 * math.pi * np.arange(samples + 1) / samples
-    values = [li_three_halves_circle(float(p), acc) for p in phi]
+    values = [li_three_halves_circle(float(p)) for p in phi]
     worst = max(r.error for r in values)
     return FigureData(
         columns={

@@ -14,7 +14,7 @@ the inverse transform uses ``U^dagger``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -127,25 +127,6 @@ def build_duality_map(dim: int) -> DualityMap:
     idx = np.arange(dim)
     phases = np.exp(2j * np.pi * np.outer(idx, idx) / dim)
     return DualityMap(phases / np.sqrt(dim))
-
-
-@dataclass(frozen=True, eq=False)
-class AngleGrid:
-    """The N circle sites phi_s = 2*pi*s/N, s = 0..N-1."""
-
-    dim: int
-    angles: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"grid needs dim >= 1, got {self.dim}")
-        angles = 2.0 * np.pi * np.arange(self.dim) / self.dim
-        angles.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * np.pi / self.dim
 
 
 def _check_dims(state: StateVector, dmap: DualityMap):

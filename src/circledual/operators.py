@@ -6,29 +6,30 @@ exact defect concentrated in the top level:
 
     [a, a^dag] = I - N |N-1><N-1|,      [x, p] = i (I - N |N-1><N-1|).
 
-In the circle-site ("ontological") basis every matrix element of a, a^dag,
-x and p is carried by one kernel value: with phi_k = 2*pi*s_k/N and
+In the circle-site ("ontological") basis every matrix element of a is
+carried by one kernel value: with phi_k = 2*pi*s_k/N and
 S_{N-1}(z) = sum_{n=1}^{N-1} sqrt(n) z^n,
 
-    <s1| a |s2>     = exp(-1j*phi1) * S_{N-1}(e^{1j*(phi1-phi2)}) / N
-    <s1| a^dag |s2> = exp( 1j*phi2) * S_{N-1}(e^{1j*(phi1-phi2)}) / N
+    <s1| a |s2> = exp(-1j*phi1) * S_{N-1}(e^{1j*(phi1-phi2)}) / N.
 
-and x, p follow from x = (a + a^dag)/sqrt(2), p = 1j*(a^dag - a)/sqrt(2).
-These closed forms agree with conjugating the level-basis matrices by the
-duality map; both routes are kept and cross-checked in the tests.
+The kernel depends only on (s1 - s2) mod N, and its N values
+S_{N-1}(e^{2j*pi*d/N}) / N are exactly the inverse DFT of sqrt(0..N-1).
+``ontological_matrix`` is the primary route: it builds a from that FFT
+kernel and takes a^dag = a^H, x = (a + a^dag)/sqrt(2) and
+p = 1j*(a^dag - a)/sqrt(2) from it, so x and p are hermitian by
+construction.  ``conjugate_to_ontological`` (U M U^dag with the dense
+duality map) is the one independent cross-check.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auxfun import sqrt_series
-from .errors import BasisError, DimensionError
-from .hilbert import Basis, DualityMap, StateVector, _as_readonly_complex
+from .errors import BasisError, DimensionError, DomainError
+from .hilbert import Basis, DualityMap, _as_readonly_complex
 
 HERMITICITY_TOL = 1e-12
 
@@ -51,7 +52,7 @@ class OperatorMatrix:
             raise DimensionError(f"operator must be square, got {arr.shape}")
         object.__setattr__(self, "entries", arr)
         if self.hermitian and self.hermiticity_defect() > HERMITICITY_TOL:
-            raise ValueError(
+            raise DomainError(
                 f"declared hermitian but defect {self.hermiticity_defect():.3e} "
                 f"> {HERMITICITY_TOL:.0e}"
             )
@@ -62,20 +63,6 @@ class OperatorMatrix:
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-
-@dataclass(frozen=True)
-class OscillatorConfig:
-    """Level count and angular frequency of one oscillator."""
-
-    dim: int
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"dim must be >= 1, got {self.dim}")
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
 
 def build_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -89,20 +76,31 @@ def build_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     )
 
 
+def _position_momentum(basis: Basis, a: np.ndarray) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """x = (a + a^dag)/sqrt(2) and p = 1j*(a^dag - a)/sqrt(2), a^dag = a^H.
+
+    Entry (j, i) of each is the exact conjugate of entry (i, j), so both
+    are hermitian to the last bit.
+    """
+    adag = a.conj().T
+    x = (a + adag) / math.sqrt(2.0)
+    p = 1j * (adag - a) / math.sqrt(2.0)
+    return OperatorMatrix(basis, x, hermitian=True), OperatorMatrix(basis, p, hermitian=True)
+
+
 def build_position_momentum(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """x = (a + a^dag)/sqrt(2) and p = 1j*(a^dag - a)/sqrt(2), both hermitian."""
-    a, adag = build_ladder(dim)
-    x = (a.entries + adag.entries) / math.sqrt(2.0)
-    p = 1j * (adag.entries - a.entries) / math.sqrt(2.0)
-    return (
-        OperatorMatrix(Basis.ENERGY, x, hermitian=True),
-        OperatorMatrix(Basis.ENERGY, p, hermitian=True),
-    )
+    """Level-basis x = (a + a^dag)/sqrt(2) and p = 1j*(a^dag - a)/sqrt(2)."""
+    a, _ = build_ladder(dim)
+    return _position_momentum(Basis.ENERGY, a.entries)
 
 
-def build_hamiltonian(config: OscillatorConfig) -> OperatorMatrix:
+def build_hamiltonian(dim: int, omega: float = 1.0) -> OperatorMatrix:
     """diag(0, omega, 2*omega, ...): level n costs n*omega, ground energy 0."""
-    levels = np.arange(config.dim, dtype=np.float64) * config.omega
+    if dim < 1:
+        raise DimensionError(f"dim must be >= 1, got {dim}")
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise DomainError(f"omega must be positive and finite, got {omega}")
+    levels = np.arange(dim, dtype=np.float64) * omega
     return OperatorMatrix(Basis.ENERGY, np.diag(levels).astype(np.complex128), hermitian=True)
 
 
@@ -117,58 +115,22 @@ def conjugate_to_ontological(op: OperatorMatrix, dmap: DualityMap) -> OperatorMa
     return OperatorMatrix(Basis.ONTOLOGICAL, out, hermitian=op.hermitian)
 
 
-def ontological_element(which: str, dim: int, s1: int, s2: int) -> complex:
-    """Closed-form circle-site matrix element of a, adag, x or p.
-
-    Uses the truncated kernel S_{dim-1} evaluated at the relative phase;
-    exact duplicate of the conjugated level-basis entry up to roundoff.
-    """
-    if which not in _ELEMENT_KINDS:
-        raise ValueError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
-    if not (0 <= s1 < dim and 0 <= s2 < dim):
-        raise DimensionError(f"site indices ({s1}, {s2}) outside 0..{dim - 1}")
-    phi1 = 2.0 * math.pi * s1 / dim
-    phi2 = 2.0 * math.pi * s2 / dim
-    kernel = sqrt_series(dim - 1, cmath.exp(1j * (phi1 - phi2))) / dim
-    if which == "a":
-        return cmath.exp(-1j * phi1) * kernel
-    if which == "adag":
-        return cmath.exp(1j * phi2) * kernel
-    half = 1.0 / math.sqrt(2.0)
-    if which == "x":
-        return half * (cmath.exp(-1j * phi1) + cmath.exp(1j * phi2)) * kernel
-    # p = 1j*(adag - a)/sqrt(2) puts the raise-phase first in the bracket
-    return 1j * half * (cmath.exp(1j * phi2) - cmath.exp(-1j * phi1)) * kernel
-
-
 def ontological_matrix(which: str, dim: int) -> OperatorMatrix:
-    """Full circle-site matrix of a, adag, x or p from the closed form.
-
-    The kernel depends only on (s1 - s2) mod dim, so it is evaluated dim
-    times and broadcast.
-    """
+    """Full circle-site matrix of a, adag, x or p from the FFT kernel."""
     if which not in _ELEMENT_KINDS:
-        raise ValueError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
+        raise DomainError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     sites = np.arange(dim)
-    omega_root = np.exp(2j * np.pi * sites / dim)
-    kernel_by_diff = np.array([sqrt_series(dim - 1, z) for z in omega_root]) / dim
-    diff = np.mod(sites[:, None] - sites[None, :], dim)
-    kernel = kernel_by_diff[diff]
-    phase1 = np.exp(-2j * np.pi * sites / dim)[:, None]  # e^{-i phi1}, rows
-    phase2 = np.exp(2j * np.pi * sites / dim)[None, :]  # e^{+i phi2}, columns
+    kernel_by_diff = np.fft.ifft(np.sqrt(sites))  # S_{dim-1}(e^{2j*pi*d/dim}) / dim
+    kernel = kernel_by_diff[np.mod(sites[:, None] - sites[None, :], dim)]
+    a = np.exp(-2j * np.pi * sites / dim)[:, None] * kernel  # e^{-i phi1} on rows
     if which == "a":
-        entries = phase1 * kernel
-    elif which == "adag":
-        entries = phase2 * kernel
-    elif which == "x":
-        entries = (phase1 + phase2) * kernel / math.sqrt(2.0)
-    else:
-        entries = 1j * (phase2 - phase1) * kernel / math.sqrt(2.0)
-    return OperatorMatrix(Basis.ONTOLOGICAL, entries, hermitian=which in ("x", "p"))
+        return OperatorMatrix(Basis.ONTOLOGICAL, a)
+    if which == "adag":
+        return OperatorMatrix(Basis.ONTOLOGICAL, a.conj().T)
+    x, p = _position_momentum(Basis.ONTOLOGICAL, a)
+    return x if which == "x" else p
 
 
 def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:
@@ -180,12 +142,3 @@ def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(
         op_a.basis, op_a.entries @ op_b.entries - op_b.entries @ op_a.entries
     )
-
-
-def apply_operator(op: OperatorMatrix, state: StateVector) -> StateVector:
-    """Matrix-vector action, enforcing matching basis tags."""
-    if op.basis is not state.basis:
-        raise BasisError(f"operator basis {op.basis} != state basis {state.basis}")
-    if op.dim != state.dim:
-        raise DimensionError(f"operator dim {op.dim} != state dim {state.dim}")
-    return StateVector(state.basis, op.entries @ state.amplitudes)

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from circledual import (
-    OscillatorConfig,
     build_duality_map,
     build_hamiltonian,
     build_ladder,
@@ -59,7 +58,7 @@ def test_criterion_01_unitarity():
 
 def test_criterion_02_spectrum():
     n = 11
-    h = build_hamiltonian(OscillatorConfig(n))
+    h = build_hamiltonian(n)
     diagonal = np.diag(h.entries)
     exact = np.array_equal(diagonal.real, np.arange(11.0)) and np.all(diagonal.imag == 0.0)
     h_site = conjugate_to_ontological(h, build_duality_map(n))
@@ -93,7 +92,7 @@ def test_criterion_03_stroboscopic_duality():
 
 def test_criterion_04_closed_form_elements():
     worst = 0.0
-    for n in (2, 16, 64, 256):
+    for n in (2, 16, 64, 256, 1024):
         dmap = build_duality_map(n)
         a, adag = build_ladder(n)
         x, p = build_position_momentum(n)
@@ -117,6 +116,10 @@ def test_criterion_05_hermiticity_and_reality():
         for op in (x, p):
             site = conjugate_to_ontological(op, dmap)
             worst_defect = max(worst_defect, site.hermiticity_defect())
+    # the closed-form x and p are hermitian by construction at every size
+    for n in (384, 1024, 2048):
+        for kind in ("x", "p"):
+            worst_defect = max(worst_defect, ontological_matrix(kind, n).hermiticity_defect())
     rng = np.random.default_rng(1)
     worst_reality = 0.0
     for _ in range(1000):

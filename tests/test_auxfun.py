@@ -9,8 +9,8 @@ import pytest
 
 from circledual import (
     DomainError,
+    KERNEL_GUARD,
     NearSingularityError,
-    SeriesAccuracy,
     angle_kernel,
     angle_kernel_abel,
     li_three_halves,
@@ -249,6 +249,13 @@ def test_kernel_near_singularity_guard():
         angle_kernel(0.0)
 
 
+def test_abel_cost_at_the_guard():
+    # |phi| = KERNEL_GUARD gives the smallest eps0 = sin(phi/2)/2 ~ 2.5e-4; the
+    # seven sums of ceil(52/eps) + 8 terms, eps = eps0/2^j, run from 208,009
+    # to 13,312,009 terms: the worst-case cost of one g cross-check.
+    assert angle_kernel_abel(KERNEL_GUARD).terms == 26_416_063
+
+
 def test_kernel_small_angle_region_still_cross_checks():
     # below the acceptance band but above the guard radius
     for phi in (0.004, 0.02):
@@ -272,13 +279,6 @@ def test_reality_of_disk_series():
         direct = sqrt_series_disk(z).value
         mirrored = sqrt_series_disk(z.conjugate()).value
         assert abs(direct.conjugate() - mirrored) <= 1e-12
-
-
-def test_accuracy_contract_validation():
-    with pytest.raises(ValueError):
-        SeriesAccuracy(abs_tol=1e-15)
-    with pytest.raises(ValueError):
-        SeriesAccuracy(max_terms=0)
 
 
 # ---------------------------------------------------------------------------

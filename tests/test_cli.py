@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circledual.cli import main
+from circledual import ConvergenceError, ZeroFindingError
+from circledual.cli import _fail, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -108,6 +113,12 @@ def test_small_radius_curves_shrink_like_4r(tmp_path):
     _, data = read_csv(out)
     magnitudes = np.hypot(data[:, 2], data[:, 3])
     assert np.max(np.abs(magnitudes - 4.0 * 0.001)) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["x", "p"])
+def test_matrix_elements_hermitian_at_384(tmp_path, kind):
+    out = tmp_path / "elements.csv"
+    assert main(["matrix-elements", "--n", "384", "--which", kind, "--out", str(out)]) == 0
 
 
 def test_matrix_elements_artifact(tmp_path):
@@ -255,6 +266,83 @@ def test_semantic_errors_exit_one(tmp_path, capsys):
     assert main(["spectrum", "--n", "3", "--out", str(tmp_path / "nodir" / "x.csv")]) == 1
     for line in capsys.readouterr().out.strip().split("\n"):
         assert json.loads(line)["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--state", "ont:abc", "--steps", "1"],
+        ["evolve", "--time", "inf"],
+        ["duality-check", "--n", "3", "--seed", "-1"],
+        ["evolve", "--n", "11", "--time", "1e308"],
+        ["auxfun-eval", "--function", "f", "--phi", "nan"],
+        ["auxfun-eval", "--function", "g", "--phi", "nan"],
+        ["auxfun-eval", "--function", "F", "--z", "nan:0"],
+        ["auxfun-eval", "--function", "GN", "--n", "5", "--z", "inf:0"],
+        ["auxfun-eval", "--function", "GN", "--n", "5", "--z", "1e100:0"],
+        ["map-domains", "--radii", "0:inf:0.1"],
+    ],
+)
+def test_failures_never_print_a_traceback(tmp_path, argv):
+    proc = run_subprocess(*argv, "--out", str(tmp_path / "artifact"))
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 1:
+        assert json.loads(proc.stdout.strip().split("\n")[-1])["status"] == "error"
+
+
+FLOAT_TEXT = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "x"]),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    template=st.sampled_from(
+        [
+            ("auxfun-eval", "--function", "f", "--phi={}"),
+            ("auxfun-eval", "--function", "F", "--z={}:0"),
+            ("auxfun-eval", "--function", "GN", "--n", "5", "--z=0.5:{}"),
+            ("evolve", "--n", "4", "--time={}"),
+            ("evolve", "--n", "4", "--steps", "1", "--omega={}"),
+            ("map-domains", "--samples", "9", "--radii={}"),
+        ]
+    ),
+    text=FLOAT_TEXT,
+)
+def test_float_flags_exit_cleanly(tmp_path_factory, template, text):
+    out = tmp_path_factory.getbasetemp() / "float-flag-artifact"
+    argv = [part.format(text) for part in template] + ["--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert json.loads(stdout.getvalue().strip().split("\n")[-1])["status"] == "error"
+
+
+def test_error_report_keeps_diagnostics(capsys):
+    exc = ConvergenceError("routes disagree", best_estimate=1.5 - 2j, error_estimate=3e-5, terms=42)
+    assert _fail("auxfun-eval", exc) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ConvergenceError"
+    assert report["best_estimate"] == [1.5, -2.0]
+    assert report["error_estimate"] == 3e-5
+    assert report["terms"] == 42
+
+    _fail("auxfun-eval", ConvergenceError("no estimate"))
+    report = json.loads(capsys.readouterr().out)
+    assert report["best_estimate"] is None and report["terms"] == 0
+
+    diagnostics = {"degree": 8, "residual": 1e-3, "bound": 1e-8}
+    _fail("zeros", ZeroFindingError("residual too large", diagnostics=diagnostics))
+    report = json.loads(capsys.readouterr().out)
+    assert report["diagnostics"] == diagnostics
+    assert "best_estimate" not in report
 
 
 def test_version_flag(capsys):

@@ -11,7 +11,6 @@ from circledual import (
     CirclePhase,
     DimensionError,
     NormalizationError,
-    OscillatorBank,
     StateVector,
     Basis,
     StroboscopicError,
@@ -19,7 +18,6 @@ from circledual import (
     build_duality_map,
     duality_deviation,
     energy_state,
-    evolve_bank,
     evolve_classical,
     evolve_quantum,
     offgrid_deviation,
@@ -256,55 +254,3 @@ def test_offgrid_report():
     k_off, dev_off = offgrid_deviation(state, TAU * (3.5) / n)
     assert k_off in (3, 4)
     assert dev_off >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# oscillator banks
-
-
-def test_bank_common_period():
-    bank = OscillatorBank(
-        omegas=(2.0, 2.0, 2.0),
-        phases=(CirclePhase(0.1), CirclePhase(1.0), CirclePhase(4.0)),
-    )
-    out = evolve_bank(bank, TAU / 2.0)
-    for before, after in zip(bank.phases, out.phases):
-        assert after.phi == pytest.approx(before.phi, abs=1e-12)
-
-
-def test_bank_component_frequencies():
-    bank = OscillatorBank(omegas=(1.0, 2.0), phases=(CirclePhase(0.0), CirclePhase(0.0)))
-    out = evolve_bank(bank, math.pi)
-    assert out.phases[0].phi == pytest.approx(math.pi, abs=1e-12)
-    assert out.phases[1].phi == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bank_incommensurate_pair():
-    bank = OscillatorBank(
-        omegas=(1.0, math.sqrt(2.0)), phases=(CirclePhase(0.0), CirclePhase(0.0))
-    )
-    out = evolve_bank(bank, TAU)
-    # direct arithmetic: sqrt(2)*2*pi mod 2*pi = 2*pi*(sqrt(2) - 1)
-    assert out.phases[1].phi == pytest.approx(TAU * (math.sqrt(2.0) - 1.0), abs=1e-12)
-    assert out.phases[1].phi == pytest.approx(2.6025805691424364, abs=1e-10)
-
-
-def test_bank_matches_componentwise_evolution():
-    bank = OscillatorBank(
-        omegas=(0.5, 1.5, 2.5),
-        phases=(CirclePhase(0.3), CirclePhase(2.2), CirclePhase(5.9)),
-    )
-    t = 1.234
-    together = evolve_bank(bank, t)
-    separately = [
-        evolve_classical(p, t, w) for p, w in zip(bank.phases, bank.omegas)
-    ]
-    for lhs, rhs in zip(together.phases, separately):
-        assert lhs.phi == rhs.phi
-
-
-def test_bank_validation():
-    with pytest.raises(DimensionError):
-        OscillatorBank(omegas=(1.0,), phases=(CirclePhase(0), CirclePhase(1)))
-    with pytest.raises(ValueError):
-        OscillatorBank(omegas=(-1.0,), phases=(CirclePhase(0),))

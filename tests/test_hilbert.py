@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledual import (
-    AngleGrid,
     Basis,
     BasisError,
     DimensionError,
@@ -147,13 +146,3 @@ def test_state_vector_validation():
     assert st_vec.is_normalized()
     with pytest.raises(ValueError):
         st_vec.amplitudes[0] = 5.0  # frozen payload
-
-
-def test_angle_grid():
-    grid = AngleGrid(8)
-    assert grid.spacing == pytest.approx(2 * np.pi / 8, abs=0)
-    assert np.all(np.diff(grid.angles) > 0)
-    assert grid.angles[0] == 0.0
-    assert grid.angles[-1] < 2 * np.pi
-    with pytest.raises(DimensionError):
-        AngleGrid(0)

@@ -10,13 +10,10 @@ from circledual import (
     DimensionError,
     DomainError,
     PoleError,
-    SheetPoint,
     ZeroSet,
     map_to_y,
     map_to_z,
-    sheet_of,
     sqrt_series,
-    sqrt_series_at,
     sqrt_series_disk,
     sqrt_series_sheet2,
     sqrt_series_zeros,
@@ -119,8 +116,6 @@ def test_y_zero_images():
 def test_bad_sheet_index():
     with pytest.raises(ValueError):
         map_to_z(0.5, 3)
-    with pytest.raises(ValueError):
-        SheetPoint(0.5, 0)
 
 
 def test_cut_sides_are_reciprocal_conjugates():
@@ -185,15 +180,6 @@ def test_sheet_domains_enforced():
         sqrt_series_sheet2(0.5)
     with pytest.raises(DomainError):
         sqrt_series_disk(1.0 + 1e-12)
-
-
-def test_sheet_point_dispatch():
-    inner = sheet_of(0.4 + 0.1j)
-    assert inner.sheet == 1
-    outer = sheet_of(3.0)
-    assert outer.sheet == 2
-    assert sqrt_series_at(inner).value == sqrt_series_disk(0.4 + 0.1j).value
-    assert sqrt_series_at(outer).value == sqrt_series_sheet2(3.0).value
 
 
 def abel_limit(values_of_eps, eps_grid):
