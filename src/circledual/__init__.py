@@ -33,6 +33,7 @@ from .dynamics import (
     CirclePhase,
     born_distribution,
     duality_deviation,
+    duality_deviations,
     evolve_classical,
     evolve_quantum,
     offgrid_deviation,

@@ -32,7 +32,7 @@ from .auxfun import (
 )
 from .dynamics import (
     born_distribution,
-    duality_deviation,
+    duality_deviations,
     evolve_quantum,
     offgrid_deviation,
     transport_steps,
@@ -51,6 +51,7 @@ from .figdata import (
 from .hilbert import (
     Basis,
     build_duality_map,
+    check_dense_size,
     energy_state,
     ontological_state,
     random_state,
@@ -65,6 +66,7 @@ from .operators import (
 
 DUALITY_TOL = 1e-10
 ELEMENT_TOL = 1e-10
+MAX_RADII = 10_000
 
 
 def _positive_int(text: str) -> int:
@@ -78,6 +80,15 @@ def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
+def _step_count(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"step count too large for a float time: {text}") from exc
     return value
 
 
@@ -111,7 +122,13 @@ def _radius_spec(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"bad radius range {text!r}") from exc
         if step <= 0:
             raise argparse.ArgumentTypeError("radius step must be positive")
-        count = int(round((stop - start) / step))
+        # bound the point count before building any list (it may be +-inf)
+        steps = (stop - start) / step
+        if not 0.0 <= steps <= MAX_RADII - 1:
+            raise argparse.ArgumentTypeError(
+                f"radius range {text!r} needs start <= stop and at most {MAX_RADII} radii"
+            )
+        count = int(round(steps))
         values = [start + k * step for k in range(count + 1)]
         # snap float drift at the endpoint back onto the requested stop
         return [stop if abs(v - stop) < 1e-9 else v for v in values]
@@ -200,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=11)
     p.add_argument("--omega", type=_positive_float, default=1.0)
     p.add_argument("--state", default="random", help="'random', 'ont:<s>' or 'energy:<n>'")
-    p.add_argument("--steps", type=int, default=None, help="stroboscopic step count k")
+    p.add_argument("--steps", type=_step_count, default=None, help="stroboscopic step count k")
     p.add_argument("--time", type=_finite_float, default=None, help="arbitrary evolution time")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     common(p, "csv")
@@ -247,15 +264,11 @@ def entrypoint() -> None:
 
 
 def _cmd_duality_check(args) -> int:
-    dmap = build_duality_map(args.n)
+    check_dense_size(args.trials, args.n, "the batch of states")
     rng = np.random.default_rng(args.seed)
-    states = [random_state(args.n, rng) for _ in range(args.trials)]
+    states = np.array([random_state(args.n, rng).amplitudes for _ in range(args.trials)])
     ks = np.arange(2 * args.n + 1)
-    per_k = np.zeros(ks.size)
-    for i, k in enumerate(ks):
-        per_k[i] = max(
-            duality_deviation(state, int(k), args.omega, dmap) for state in states
-        )
+    per_k = duality_deviations(states, ks, args.omega)
     overall = float(per_k.max())
     fig = FigureData(
         columns={"k": ks, "max_deviation": per_k},
@@ -458,9 +471,8 @@ def _cmd_evolve(args) -> int:
     if (args.steps is None) == (args.time is None):
         raise CircleDualError("give exactly one of --steps or --time")
     state = _parse_initial_state(args.state, args.n, args.seed)
-    dmap = build_duality_map(args.n)
-    energy = state if state.basis is Basis.ENERGY else to_energy(state, dmap)
-    initial = born_distribution(energy, dmap)
+    energy = state if state.basis is Basis.ENERGY else to_energy(state)
+    initial = born_distribution(energy)
     params = {
         "n": args.n,
         "omega": args.omega,
@@ -469,7 +481,7 @@ def _cmd_evolve(args) -> int:
     }
     if args.steps is not None:
         t = 2.0 * math.pi * args.steps / (args.n * args.omega)
-        quantum = born_distribution(evolve_quantum(energy, t, args.omega), dmap)
+        quantum = born_distribution(evolve_quantum(energy, t, args.omega))
         transported = transport_steps(initial, args.steps)
         deviation = float(np.max(np.abs(quantum.weights - transported.weights)))
         params.update({"steps": args.steps, "time": t, "deviation": deviation})
@@ -480,8 +492,8 @@ def _cmd_evolve(args) -> int:
             "weight_transport": transported.weights,
         }
     else:
-        quantum = born_distribution(evolve_quantum(energy, args.time, args.omega), dmap)
-        nearest_k, deviation = offgrid_deviation(energy, args.time, args.omega, dmap)
+        quantum = born_distribution(evolve_quantum(energy, args.time, args.omega))
+        nearest_k, deviation = offgrid_deviation(energy, args.time, args.omega)
         params.update(
             {
                 "time": args.time,

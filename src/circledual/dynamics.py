@@ -8,7 +8,10 @@ so any Born distribution over the sites is transported rigidly:
 
     born(evolve_quantum(psi, t)) == rotate_by_k(born(psi))      (exactly)
 
-``duality_deviation`` measures the max-norm gap between the two routes; the
+``duality_deviations`` measures the max-norm gap between the two routes for
+a batch of states at once: the initial site weights come from one row-wise
+FFT, and each k costs one more (states x N) FFT of the evolved batch.
+``duality_deviation`` is the same check for one state and one k.  The
 contract is <= 1e-10 for every normalized state and every integer k.
 Between grid times the site-to-site transport is not defined at finite N;
 ``offgrid_deviation`` reports how far the evolved distribution is from the
@@ -23,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, DimensionError, DomainError, NormalizationError, StroboscopicError
-from .hilbert import (
-    Basis,
-    DualityMap,
-    StateVector,
-    build_duality_map,
-    to_ontological,
-)
+from .hilbert import Basis, StateVector, check_dense_size, to_sites
 
 _TAU = 2.0 * math.pi
 
@@ -80,37 +77,48 @@ def evolve_classical(phase: CirclePhase, t: float, omega: float = 1.0) -> Circle
     return CirclePhase(phase.phi + omega * t)
 
 
+def _phases(dim: int, t: float, omega: float) -> np.ndarray:
+    """exp(-1j*n*omega*t) for n = 0..dim-1."""
+    # the largest phase, not t alone: a finite t can still overflow n*omega*t
+    if not math.isfinite(dim * omega * t):
+        raise DomainError(f"phase N*omega*t must be finite, got t = {t}, omega = {omega}")
+    return np.exp(-1j * np.arange(dim) * omega * t)
+
+
 def evolve_quantum(state: StateVector, t: float, omega: float = 1.0) -> StateVector:
     """Multiply energy amplitude n by exp(-1j*n*omega*t); norm is preserved."""
     if state.basis is not Basis.ENERGY:
         raise BasisError(f"quantum evolution needs an energy-basis state, got {state.basis}")
-    # the largest phase, not t alone: a finite t can still overflow n*omega*t
-    if not math.isfinite(state.dim * omega * t):
-        raise DomainError(f"phase N*omega*t must be finite, got t = {t}, omega = {omega}")
-    n = np.arange(state.dim)
-    phases = np.exp(-1j * n * omega * t)
-    return StateVector(Basis.ENERGY, phases * state.amplitudes)
+    return StateVector(Basis.ENERGY, _phases(state.dim, t, omega) * state.amplitudes)
 
 
-def born_distribution(state: StateVector, dmap: DualityMap | None = None) -> AngleDistribution:
+def _check_norms(amplitudes: np.ndarray) -> None:
+    """Every row of amplitudes must have unit norm within STATE_NORM_TOL."""
+    norms = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    if np.any(np.abs(norms - 1.0) > STATE_NORM_TOL):
+        raise NormalizationError(
+            f"state norm deviates from 1 by more than {STATE_NORM_TOL}"
+        )
+
+
+def _site_weights(site_amplitudes: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 along the last axis, rescaled by each row's exact sum."""
+    weights = np.abs(site_amplitudes) ** 2
+    return weights / np.sum(weights, axis=-1, keepdims=True)
+
+
+def born_distribution(state: StateVector) -> AngleDistribution:
     """Site weights |<s|state>|^2 in the ontological basis.
 
     The state must be normalized to 1e-9; the squared magnitudes are then
     rescaled by their exact sum so the distribution invariant (sum = 1
     within 1e-12) holds regardless of roundoff in the basis change.
     """
-    if abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) > STATE_NORM_TOL:
-        raise NormalizationError(
-            f"state norm deviates from 1 by more than {STATE_NORM_TOL}"
-        )
+    _check_norms(state.amplitudes)
+    amps = state.amplitudes
     if state.basis is Basis.ENERGY:
-        if dmap is None:
-            dmap = build_duality_map(state.dim)
-        site_state = to_ontological(state, dmap)
-    else:
-        site_state = state
-    weights = np.abs(site_state.amplitudes) ** 2
-    return AngleDistribution(weights / np.sum(weights))
+        amps = to_sites(amps)
+    return AngleDistribution(_site_weights(amps))
 
 
 def transport_steps(rho: AngleDistribution, k: int) -> AngleDistribution:
@@ -136,39 +144,48 @@ def transport_distribution(
     return transport_steps(rho, k)
 
 
-def duality_deviation(
-    state: StateVector,
-    k: int,
-    omega: float = 1.0,
-    dmap: DualityMap | None = None,
-) -> float:
+def duality_deviations(amplitudes, ks, omega: float = 1.0) -> np.ndarray:
+    """Per-k max-norm gap between quantum-evolved and transported weights.
+
+    ``amplitudes`` is a (states x N) array of normalized energy-basis
+    states.  For each k in ``ks`` every state is evolved to
+    t = 2*pi*k/(N*omega), and its Born distribution is compared against
+    the k-site rotation of its initial one; entry i of the result is the
+    largest gap over all states at ks[i].
+    """
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim != 2 or amps.shape[1] < 1:
+        raise DimensionError(f"expected a (states x N) array, got shape {amps.shape}")
+    trials, dim = amps.shape
+    check_dense_size(trials, dim, "the batch of states")
+    _check_norms(amps)
+    initial = _site_weights(to_sites(amps))
+    out = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        t = _TAU * k / (dim * omega)
+        quantum = _site_weights(to_sites(_phases(dim, t, omega) * amps))
+        out[i] = np.max(np.abs(quantum - np.roll(initial, int(k), axis=1)))
+    return out
+
+
+def duality_deviation(state: StateVector, k: int, omega: float = 1.0) -> float:
     """Max-norm gap between quantum-evolved and classically transported weights.
 
     Evolves the state to t = 2*pi*k/(N*omega) and compares the Born
     distribution against the k-site rotation of the initial one.
     """
-    if dmap is None:
-        dmap = build_duality_map(state.dim)
-    t = _TAU * k / (state.dim * omega)
-    quantum = born_distribution(evolve_quantum(state, t, omega), dmap)
-    classical = transport_steps(born_distribution(state, dmap), k)
-    return float(np.max(np.abs(quantum.weights - classical.weights)))
+    if state.basis is not Basis.ENERGY:
+        raise BasisError(f"quantum evolution needs an energy-basis state, got {state.basis}")
+    return float(duality_deviations(state.amplitudes[None, :], [k], omega)[0])
 
 
-def offgrid_deviation(
-    state: StateVector,
-    t: float,
-    omega: float = 1.0,
-    dmap: DualityMap | None = None,
-) -> tuple[int, float]:
+def offgrid_deviation(state: StateVector, t: float, omega: float = 1.0) -> tuple[int, float]:
     """Distance of the evolved distribution from the nearest site rotation.
 
     Returns (k_nearest, max-norm deviation).  This measures, rather than
     defines, transport at times off the stroboscopic grid.
     """
-    if dmap is None:
-        dmap = build_duality_map(state.dim)
     k = round(t * state.dim * omega / _TAU) % state.dim
-    quantum = born_distribution(evolve_quantum(state, t, omega), dmap)
-    classical = transport_steps(born_distribution(state, dmap), k)
+    quantum = born_distribution(evolve_quantum(state, t, omega))
+    classical = transport_steps(born_distribution(state), k)
     return int(k), float(np.max(np.abs(quantum.weights - classical.weights)))

@@ -9,7 +9,16 @@ matrix
     U[s, n] = exp(2j*pi*n*s/N) / sqrt(N)
 
 so that a state's ontological amplitudes are ``U @ energy_amplitudes`` and
-the inverse transform uses ``U^dagger``.
+the inverse transform uses ``U^dagger``.  U is a unitary DFT: ``U @ psi``
+is ``ifft(psi, norm="ortho")`` and ``U^dagger @ psi`` is
+``fft(psi, norm="ortho")``.  ``to_ontological`` and ``to_energy`` take that
+O(N log N) route and store nothing but the state; ``build_duality_map``
+builds the dense U entry by entry as the reference construction that the
+tests and the operator cross-check compare against.
+
+Dense N x N storage is capped at ``DENSE_ENTRY_CEILING`` complex entries
+(4096^2, 256 MiB); every dense constructor checks the size it is about to
+allocate against it and raises ``DimensionError`` above it.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import numpy as np
 from .errors import BasisError, DimensionError, NormalizationError
 
 NORM_TOL = 1e-12
+DENSE_ENTRY_CEILING = 4096 * 4096
 
 
 class Basis(Enum):
@@ -35,6 +45,21 @@ def _as_readonly_complex(values, expected_ndim):
         raise DimensionError(f"expected {expected_ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def check_dense_size(rows: int, cols: int, what: str) -> None:
+    """Raise DimensionError, before allocating, if rows x cols entries exceed the ceiling."""
+    entries = int(rows) * int(cols)
+    if entries > DENSE_ENTRY_CEILING:
+        raise DimensionError(
+            f"{what} needs {rows} x {cols} = {entries} dense entries, above the "
+            f"ceiling of {DENSE_ENTRY_CEILING}"
+        )
+
+
+def to_sites(amplitudes: np.ndarray) -> np.ndarray:
+    """U applied along the last axis: energy amplitudes to circle-site amplitudes."""
+    return np.fft.ifft(amplitudes, axis=-1, norm="ortho")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,27 +149,21 @@ def build_duality_map(dim: int) -> DualityMap:
     """Construct U[s, n] = exp(2j*pi*n*s/dim)/sqrt(dim)."""
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise DimensionError(f"dimension must be a positive integer, got {dim!r}")
+    check_dense_size(dim, dim, "the duality map")
     idx = np.arange(dim)
     phases = np.exp(2j * np.pi * np.outer(idx, idx) / dim)
     return DualityMap(phases / np.sqrt(dim))
 
 
-def _check_dims(state: StateVector, dmap: DualityMap):
-    if state.dim != dmap.dim:
-        raise DimensionError(f"state dim {state.dim} != map dim {dmap.dim}")
-
-
-def to_ontological(state: StateVector, dmap: DualityMap) -> StateVector:
-    """Re-express an energy-basis state over the circle sites."""
+def to_ontological(state: StateVector) -> StateVector:
+    """Re-express an energy-basis state over the circle sites (U psi, by FFT)."""
     if state.basis is not Basis.ENERGY:
         raise BasisError("to_ontological expects an energy-basis state")
-    _check_dims(state, dmap)
-    return StateVector(Basis.ONTOLOGICAL, dmap.matrix @ state.amplitudes)
+    return StateVector(Basis.ONTOLOGICAL, to_sites(state.amplitudes))
 
 
-def to_energy(state: StateVector, dmap: DualityMap) -> StateVector:
-    """Re-express a circle-site state over the energy levels."""
+def to_energy(state: StateVector) -> StateVector:
+    """Re-express a circle-site state over the energy levels (U^dagger psi, by FFT)."""
     if state.basis is not Basis.ONTOLOGICAL:
         raise BasisError("to_energy expects an ontological-basis state")
-    _check_dims(state, dmap)
-    return StateVector(Basis.ENERGY, dmap.matrix.conj().T @ state.amplitudes)
+    return StateVector(Basis.ENERGY, np.fft.fft(state.amplitudes, norm="ortho"))

@@ -18,7 +18,8 @@ S_{N-1}(e^{2j*pi*d/N}) / N are exactly the inverse DFT of sqrt(0..N-1).
 kernel and takes a^dag = a^H, x = (a + a^dag)/sqrt(2) and
 p = 1j*(a^dag - a)/sqrt(2) from it, so x and p are hermitian by
 construction.  ``conjugate_to_ontological`` (U M U^dag with the dense
-duality map) is the one independent cross-check.
+duality map) is the one independent cross-check.  Every dense constructor
+checks its N x N size against ``hilbert.DENSE_ENTRY_CEILING`` first.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, DimensionError, DomainError
-from .hilbert import Basis, DualityMap, _as_readonly_complex
+from .hilbert import Basis, DualityMap, _as_readonly_complex, check_dense_size
 
 HERMITICITY_TOL = 1e-12
 
@@ -69,6 +70,7 @@ def build_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Lowering and raising operators: a|n> = sqrt(n)|n-1> on dim levels."""
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
+    check_dense_size(dim, dim, "the operator")
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
     return (
         OperatorMatrix(Basis.ENERGY, a),
@@ -98,6 +100,7 @@ def build_hamiltonian(dim: int, omega: float = 1.0) -> OperatorMatrix:
     """diag(0, omega, 2*omega, ...): level n costs n*omega, ground energy 0."""
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
+    check_dense_size(dim, dim, "the operator")
     if not (omega > 0.0 and math.isfinite(omega)):
         raise DomainError(f"omega must be positive and finite, got {omega}")
     levels = np.arange(dim, dtype=np.float64) * omega
@@ -121,6 +124,7 @@ def ontological_matrix(which: str, dim: int) -> OperatorMatrix:
         raise DomainError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
+    check_dense_size(dim, dim, "the operator")
     sites = np.arange(dim)
     kernel_by_diff = np.fft.ifft(np.sqrt(sites))  # S_{dim-1}(e^{2j*pi*d/dim}) / dim
     kernel = kernel_by_diff[np.mod(sites[:, None] - sites[None, :], dim)]

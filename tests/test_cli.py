@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,10 @@ def test_semantic_errors_exit_one(tmp_path, capsys):
         ["auxfun-eval", "--function", "GN", "--n", "5", "--z", "inf:0"],
         ["auxfun-eval", "--function", "GN", "--n", "5", "--z", "1e100:0"],
         ["map-domains", "--radii", "0:inf:0.1"],
+        ["map-domains", "--radii=0:1:1e-300"],
+        ["evolve", "--n", "4", "--steps", "1" + "0" * 400],
+        ["duality-check", "--n", "200000", "--trials", "100"],
+        ["matrix-elements", "--n", "4097"],
     ],
 )
 def test_failures_never_print_a_traceback(tmp_path, argv):
@@ -289,6 +294,29 @@ def test_failures_never_print_a_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     if proc.returncode == 1:
         assert json.loads(proc.stdout.strip().split("\n")[-1])["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["map-domains", "--radii=0:1:1e-300"], 2),
+        (["map-domains", "--radii=1e-6:1:1e-6"], 2),
+        (["evolve", "--n", "4", "--steps", "1" + "0" * 400], 2),
+        (["duality-check", "--n", "200000", "--trials", "100"], 1),
+        (["matrix-elements", "--n", "4097"], 1),
+    ],
+)
+def test_oversized_requests_are_refused_at_once(tmp_path, capsys, argv, code):
+    """Sizes are checked before anything of that size is built."""
+    start = time.perf_counter()
+    try:
+        got = main(argv + ["--out", str(tmp_path / "artifact")])
+    except SystemExit as exc:
+        got = exc.code
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if code == 1:
+        assert json.loads(capsys.readouterr().out.strip())["error"] == "DimensionError"
 
 
 FLOAT_TEXT = st.one_of(

@@ -15,8 +15,9 @@ from circledual import (
     Basis,
     StroboscopicError,
     born_distribution,
-    build_duality_map,
+    DomainError,
     duality_deviation,
+    duality_deviations,
     energy_state,
     evolve_classical,
     evolve_quantum,
@@ -100,14 +101,13 @@ def test_reversibility():
 def test_stroboscopic_site_shift():
     """One stroboscopic step carries site s exactly to site s+k."""
     n = 12
-    dmap = build_duality_map(n)
     for s, k in ((0, 1), (3, 5), (7, n + 2)):
         start = ontological_state(s, n)
         from circledual import to_energy
 
-        energy = to_energy(start, dmap)
+        energy = to_energy(start)
         t = TAU * k / n
-        site_rep = to_ontological(evolve_quantum(energy, t), dmap)
+        site_rep = to_ontological(evolve_quantum(energy, t))
         weights = np.abs(site_rep.amplitudes) ** 2
         assert weights[(s + k) % n] == pytest.approx(1.0, abs=1e-12)
 
@@ -130,9 +130,8 @@ def test_one_hot_site_state():
 
 def test_energy_eigenstates_spread_uniformly():
     n = 13
-    dmap = build_duality_map(n)
     for level in (0, 5, 12):
-        rho = born_distribution(energy_state(level, n), dmap)
+        rho = born_distribution(energy_state(level, n))
         assert np.max(np.abs(rho.weights - 1.0 / n)) < 1e-14
 
 
@@ -215,35 +214,31 @@ def test_transport_respects_omega():
 
 def test_site_states_never_deviate():
     n = 16
-    dmap = build_duality_map(n)
     from circledual import to_energy
 
     for s in (0, 7):
-        energy = to_energy(ontological_state(s, n), dmap)
+        energy = to_energy(ontological_state(s, n))
         for k in (0, 1, 9, 2 * n):
-            assert duality_deviation(energy, k, dmap=dmap) <= 1e-12
+            assert duality_deviation(energy, k) <= 1e-12
 
 
 def test_energy_eigenstates_never_deviate():
     n = 11
-    dmap = build_duality_map(n)
     for level in (0, 4, 10):
         for k in (0, 3, 17):
-            assert duality_deviation(energy_state(level, n), k, dmap=dmap) <= 1e-12
+            assert duality_deviation(energy_state(level, n), k) <= 1e-12
 
 
 def test_random_state_theorem_at_n64():
-    dmap = build_duality_map(64)
     state = random_state(64, np.random.default_rng(17))
-    assert duality_deviation(state, 17, dmap=dmap) <= 1e-10
+    assert duality_deviation(state, 17) <= 1e-10
 
 
 def test_deviation_with_omega():
     n = 8
     omega = 0.75
-    dmap = build_duality_map(n)
     state = random_state(n, np.random.default_rng(9))
-    assert duality_deviation(state, 5, omega=omega, dmap=dmap) <= 1e-10
+    assert duality_deviation(state, 5, omega=omega) <= 1e-10
 
 
 def test_offgrid_report():
@@ -254,3 +249,31 @@ def test_offgrid_report():
     k_off, dev_off = offgrid_deviation(state, TAU * (3.5) / n)
     assert k_off in (3, 4)
     assert dev_off >= 0.0
+
+
+@pytest.mark.parametrize("n, omega", [(1, 1.0), (2, 1.0), (11, 0.75), (64, 1.9)])
+def test_batch_equals_per_state_loop(n, omega):
+    """The batch runs the per-row arithmetic of duality_deviation unchanged."""
+    rng = np.random.default_rng(n)
+    states = [random_state(n, rng) for _ in range(7)]
+    ks = [0, 1, 5, -3, 2 * n + 1]
+    batch = duality_deviations(np.array([s.amplitudes for s in states]), ks, omega)
+    loop = [max(duality_deviation(s, k, omega) for s in states) for k in ks]
+    assert batch.tolist() == loop
+    assert np.max(batch) <= 1e-10
+
+
+def test_batch_validation():
+    good = random_state(4, np.random.default_rng(0)).amplitudes
+    with pytest.raises(DimensionError):
+        duality_deviations(good, [1])
+    with pytest.raises(NormalizationError):
+        duality_deviations(np.array([good, 2.0 * good]), [1])
+    with pytest.raises(DomainError):
+        duality_deviations(good[None, :], [1], omega=1e-320)
+    with pytest.raises(BasisError):
+        duality_deviation(ontological_state(0, 4), 1)
+    # a broadcast view allocates nothing; its size is refused before any work
+    huge = np.broadcast_to(np.complex128(1.0), (100, 200_000))
+    with pytest.raises(DimensionError, match="ceiling"):
+        duality_deviations(huge, [1])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from circledual import (
     to_energy,
     to_ontological,
 )
+from circledual.hilbert import DENSE_ENTRY_CEILING
 
 UNITARITY_TOL = 1e-12
 
@@ -51,26 +54,26 @@ def test_invalid_dimensions():
 
 def test_ground_state_maps_to_uniform():
     n = 7
-    out = to_ontological(energy_state(0, n), build_duality_map(n))
+    out = to_ontological(energy_state(0, n))
     assert out.basis is Basis.ONTOLOGICAL
     assert np.max(np.abs(out.amplitudes - 1.0 / np.sqrt(n))) < 1e-15
 
 
 def test_first_excited_dim4_gives_fourth_roots():
-    out = to_ontological(energy_state(1, 4), build_duality_map(4))
+    out = to_ontological(energy_state(1, 4))
     expected = 0.5 * np.array([1.0, 1.0j, -1.0, -1.0j])
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-15
 
 
 def test_site_zero_maps_to_uniform_energy():
     n = 9
-    out = to_energy(ontological_state(0, n), build_duality_map(n))
+    out = to_energy(ontological_state(0, n))
     assert out.basis is Basis.ENERGY
     assert np.max(np.abs(out.amplitudes - 1.0 / np.sqrt(n))) < 1e-15
 
 
 def test_site_one_dim4_gives_conjugate_roots():
-    out = to_energy(ontological_state(1, 4), build_duality_map(4))
+    out = to_energy(ontological_state(1, 4))
     expected = 0.5 * np.array([1.0, -1.0j, -1.0, 1.0j])
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-15
 
@@ -79,7 +82,7 @@ def test_random_state_agrees_with_reference_matrix():
     n = 64
     rng = np.random.default_rng(7)
     state = random_state(n, rng)
-    out = to_ontological(state, build_duality_map(n))
+    out = to_ontological(state)
     expected = reference_map(n) @ state.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
     assert abs(out.norm - 1.0) < 1e-12
@@ -87,9 +90,8 @@ def test_random_state_agrees_with_reference_matrix():
 
 def test_round_trip_of_basis_states():
     n = 11
-    dmap = build_duality_map(n)
     for k in range(n):
-        back = to_energy(to_ontological(energy_state(k, n), dmap), dmap)
+        back = to_energy(to_ontological(energy_state(k, n)))
         target = np.zeros(n)
         target[k] = 1.0
         assert np.max(np.abs(back.amplitudes - target)) < 1e-12
@@ -107,34 +109,61 @@ def test_adjoint_columns_are_conjugated_rows():
 def test_round_trip_and_parseval(n, seed):
     rng = np.random.default_rng(seed)
     state = random_state(n, rng)
-    dmap = build_duality_map(n)
-    site = to_ontological(state, dmap)
-    back = to_energy(site, dmap)
+    site = to_ontological(state)
+    back = to_energy(site)
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12 * np.sqrt(n)
     power_in = np.sum(np.abs(state.amplitudes) ** 2)
     power_out = np.sum(np.abs(site.amplitudes) ** 2)
     assert abs(power_in - power_out) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 256, 1024])
+def test_fft_route_matches_dense_map(n):
+    """The FFT basis change equals U @ psi and U^dagger @ psi with the dense U."""
+    u = build_duality_map(n).matrix
+    rng = np.random.default_rng(n)
+    states = [random_state(n, rng), energy_state(n - 1, n), energy_state(n // 2, n)]
+    for state in states:
+        site = to_ontological(state)
+        assert np.max(np.abs(site.amplitudes - u @ state.amplitudes)) <= 1e-13
+        flipped = StateVector(Basis.ONTOLOGICAL, state.amplitudes)
+        back = to_energy(flipped)
+        assert np.max(np.abs(back.amplitudes - u.conj().T @ state.amplitudes)) <= 1e-13
+
+
 def test_dense_storage_ceiling():
-    """4096 is the tested dimension ceiling for dense amplitude storage."""
-    n = 4096
-    dmap = build_duality_map(n)
-    state = random_state(n, np.random.default_rng(0))
-    site = to_ontological(state, dmap)
-    assert abs(np.sum(np.abs(site.amplitudes) ** 2) - 1.0) <= 1e-12
-    back = to_energy(site, dmap)
-    assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12 * np.sqrt(n)
+    """The FFT round trip needs no dense map: its peak allocation is O(N)."""
+    for n in (4096, 65536):
+        state = random_state(n, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            site = to_ontological(state)
+            back = to_energy(site)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 16 * n  # a dense map would take 16 * n**2 bytes
+        assert abs(np.sum(np.abs(site.amplitudes) ** 2) - 1.0) <= 1e-12
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12 * np.sqrt(n)
+
+
+def test_dense_map_ceiling_checked_before_allocating():
+    assert DENSE_ENTRY_CEILING == 4096 * 4096
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="ceiling"):
+            build_duality_map(4097)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_basis_and_dimension_enforcement():
-    dmap = build_duality_map(4)
     with pytest.raises(BasisError):
-        to_ontological(ontological_state(0, 4), dmap)
+        to_ontological(ontological_state(0, 4))
     with pytest.raises(BasisError):
-        to_energy(energy_state(0, 4), dmap)
-    with pytest.raises(DimensionError):
-        to_ontological(energy_state(0, 5), dmap)
+        to_energy(energy_state(0, 4))
 
 
 def test_state_vector_validation():

@@ -68,6 +68,10 @@ def test_hamiltonian_values():
 def test_config_validation():
     with pytest.raises(DimensionError):
         build_hamiltonian(0)
+    # above the dense ceiling every N x N constructor refuses before allocating
+    for build in (build_hamiltonian, build_ladder, lambda n: ontological_matrix("x", n)):
+        with pytest.raises(DimensionError, match="ceiling"):
+            build(4097)
     with pytest.raises(ValueError):
         build_hamiltonian(3, omega=-1.0)
 
