@@ -16,7 +16,6 @@ from .auxfun import (
     SeriesResult,
     ZeroSet,
     angle_kernel,
-    angle_kernel_abel,
     li_three_halves,
     li_three_halves_circle,
     li_three_halves_sheet2,

@@ -24,9 +24,10 @@ z = 1 (DLMF 25.12.12; D. C. Wood, The Computation of Polylogarithms, 1992)
 convergent for |mu| < 2*pi.  With mu = log z and 1/2 < |z| <= 1, |mu| stays
 below 3.22, where 64 terms reach double precision.  Both orders
 read one frozen table of zeta(3/2 - k): zeta(-1/2 - k) is its entry k + 2.
-g is the same expansion at mu = i*phi, and every g is cross-checked at run
-time by one independent route, the polynomial extrapolation of damped
-partial sums (``angle_kernel_abel``), which shares no code with it.
+g is the same expansion at mu = i*phi; Hurwitz's formula (DLMF 25.13.2),
+which shares no table and no series with it, checks every g at run time:
+g = Gamma(3/2) (2 pi)^(-3/2) [e^{3 pi i/4} zeta(3/2, x) + e^{-3 pi i/4}
+zeta(3/2, 1 - x)] for x = phi / (2 pi) in (0, 1).
 
 The analytic continuation beyond the circle lives on a double cover joined
 along the cut [1, inf).  The coordinate change
@@ -99,7 +100,17 @@ _EXPANSION_TERMS = 64
 # Horner sum and the rounding of mu = log z (measured worst: 1.5 eps).
 _ROUNDOFF = 4.0 * sys.float_info.epsilon
 
-_CHUNK = 1_000_000
+# Euler-Maclaurin for zeta(3/2, a): 16 direct terms, two endpoint terms and
+# B_2j/(2j)!, j = 1..8 (tests regenerate them); the next term is < 3e-22 of it.
+_HURWITZ_DIRECT = 16
+_BERNOULLI_RATIOS = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13,
+)
+_HURWITZ_TERMS = 2 * (_HURWITZ_DIRECT + 2 + len(_BERNOULLI_RATIOS))  # two zetas
+# The two routes of g together err by at most about 50 eps |g|; demand 1e-12 |g|.
+_KERNEL_AGREEMENT = 1e-12
 
 # Kernel evaluation rejects angles within this distance of 0 mod 2*pi.
 KERNEL_GUARD = 1e-3
@@ -246,32 +257,34 @@ def sqrt_series_sheet2(z: complex) -> SeriesResult:
     return sqrt_series_disk(1.0 / z)
 
 
-def _damped_sqrt_sum(phi: float, eps: float) -> tuple[complex, int]:
-    """sum sqrt(n) ((1-eps) e^{i phi})^n, truncated far below double roundoff."""
-    # KERNEL_GUARD caps n_max at 13,312,009; the _CHUNK blocks cap the memory
-    n_max = int(math.ceil(52.0 / eps)) + 8
-    log_z = math.log1p(-eps) + 1j * phi
-    total = 0j
-    start = 1
-    while start <= n_max:
-        stop = min(n_max, start + _CHUNK - 1)
-        n = np.arange(start, stop + 1, dtype=np.float64)
-        total += complex(np.sum(np.sqrt(n) * np.exp(n * log_z)))
-        start = stop + 1
-    return total, n_max
+def _hurwitz_zeta_three_halves(a: float) -> float:
+    """zeta(3/2, a) = sum_{n>=0} (n + a)^(-3/2) for 0 < a < 1, by Euler-Maclaurin."""
+    total = sum((n + a) ** -1.5 for n in range(_HURWITZ_DIRECT - 1, -1, -1))
+    m = _HURWITZ_DIRECT + a
+    total += 2.0 / math.sqrt(m) + 0.5 * m**-1.5
+    # the j-th correction is B_2j/(2j)! (3/2)(5/2)...(2j - 1/2) m^(-1/2 - 2j)
+    rising, power = 1.5, m**-2.5
+    for j, ratio in enumerate(_BERNOULLI_RATIOS, start=1):
+        total += ratio * rising * power
+        rising *= (2 * j + 0.5) * (2 * j + 1.5)
+        power /= m * m
+    return total
 
 
-def _extrapolate_to_zero(xs, ys) -> tuple[complex, float]:
-    """Neville polynomial extrapolation of (xs, ys) to x = 0."""
-    n = len(xs)
-    tbl = [complex(y) for y in ys]
-    second_best = tbl[0]
-    for k in range(1, n):
-        for i in range(n - k):
-            tbl[i] = (xs[i + k] * tbl[i] - xs[i] * tbl[i + 1]) / (xs[i + k] - xs[i])
-        if k == n - 2:
-            second_best = tbl[0]
-    return tbl[0], abs(tbl[0] - second_best)
+def _kernel_hurwitz(phi: float) -> complex:
+    """g(phi) by Hurwitz's formula, for a reduced angle phi != 0.
+
+    The phases and Gamma(3/2)/(2 pi)^(3/2) combine to (-(A + B) + i (A - B))
+    / (8 pi), A = zeta(3/2, x), B = zeta(3/2, 1 - x), both taken from phi
+    directly; negating phi swaps A and B, so g(-phi) = conj(g(phi)) exactly.
+    """
+    if phi > 0.0:
+        x, rest = phi / _TAU, (_TAU - phi) / _TAU
+    else:
+        x, rest = (_TAU + phi) / _TAU, -phi / _TAU
+    a = _hurwitz_zeta_three_halves(x)
+    b = _hurwitz_zeta_three_halves(rest)
+    return complex(-(a + b), a - b) / (8.0 * math.pi)
 
 
 def _check_kernel_angle(phi: float) -> float:
@@ -283,41 +296,19 @@ def _check_kernel_angle(phi: float) -> float:
     return phi
 
 
-def angle_kernel_abel(phi: float) -> SeriesResult:
-    """g(phi) as the Abel limit r -> 1- of S(r e^{i phi}).
-
-    Seven radii with (1 - r) halving geometrically feed a polynomial
-    extrapolation in (1 - r); the limit exists because S extends
-    analytically through every boundary point except z = 1.
-    """
-    phi = _check_kernel_angle(phi)
-    distance = 2.0 * abs(math.sin(phi / 2.0))  # |1 - e^{i phi}|
-    eps0 = min(1.0 / 16.0, distance / 4.0)
-    xs = [eps0 * 0.5**j for j in range(7)]
-    total_terms = 0
-    ys = []
-    for eps in xs:
-        value, used = _damped_sqrt_sum(phi, eps)
-        ys.append(value)
-        total_terms += used
-    value, est = _extrapolate_to_zero(xs, ys)
-    return SeriesResult(value, est + 1e-14 * abs(value), total_terms)
-
-
 def angle_kernel(phi: float) -> SeriesResult:
-    """g(phi) by the branch-point expansion, cross-checked by the Abel route.
+    """g(phi) by the branch-point expansion, cross-checked by Hurwitz's formula.
 
     Returns the expansion value; the error field is the larger of its own
-    estimate and the observed disagreement with ``angle_kernel_abel``.
+    estimate and the observed disagreement with the Hurwitz route.
     Raises NearSingularityError within KERNEL_GUARD of 0 mod 2*pi and
-    ConvergenceError if the routes differ by more than max(1e-6, 1e-4 |g|).
+    ConvergenceError if the routes differ by more than 1e-12 |g|.
     """
     phi = _check_kernel_angle(phi)
     primary = _branch_point_series(complex(0.0, phi), 2)
-    check = angle_kernel_abel(phi)
-    disagreement = abs(primary.value - check.value)
-    tolerance = max(1e-6, 1e-4 * abs(primary.value))
-    terms = primary.terms + check.terms
+    disagreement = abs(primary.value - _kernel_hurwitz(phi))
+    tolerance = _KERNEL_AGREEMENT * abs(primary.value)
+    terms = primary.terms + _HURWITZ_TERMS
     if disagreement > tolerance:
         raise ConvergenceError(
             f"kernel routes disagree by {disagreement:.3e} > {tolerance:.3e} at phi = {phi}",

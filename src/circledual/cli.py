@@ -34,7 +34,6 @@ from .dynamics import (
     born_distribution,
     duality_deviations,
     evolve_quantum,
-    offgrid_deviation,
     transport_steps,
 )
 from .errors import CircleDualError, ConvergenceError, ZeroFindingError
@@ -472,40 +471,31 @@ def _cmd_evolve(args) -> int:
         raise CircleDualError("give exactly one of --steps or --time")
     state = _parse_initial_state(args.state, args.n, args.seed)
     energy = state if state.basis is Basis.ENERGY else to_energy(state)
+    on_grid = args.steps is not None
+    t = 2.0 * math.pi * args.steps / (args.n * args.omega) if on_grid else args.time
+    # both modes compare against a rigid rotation: --time against the nearest
+    # one (the rule of offgrid_deviation), with each distribution taken once
     initial = born_distribution(energy)
+    quantum = born_distribution(evolve_quantum(energy, t, args.omega))
+    k = args.steps if on_grid else round(t * args.n * args.omega / (2.0 * math.pi)) % args.n
+    transported = transport_steps(initial, k)
+    deviation = float(np.max(np.abs(quantum.weights - transported.weights)))
     params = {
         "n": args.n,
         "omega": args.omega,
         "state": args.state,
         "seed": args.seed,
     }
-    if args.steps is not None:
-        t = 2.0 * math.pi * args.steps / (args.n * args.omega)
-        quantum = born_distribution(evolve_quantum(energy, t, args.omega))
-        transported = transport_steps(initial, args.steps)
-        deviation = float(np.max(np.abs(quantum.weights - transported.weights)))
+    columns = {
+        "site": np.arange(args.n),
+        "weight_initial": initial.weights,
+        "weight_quantum": quantum.weights,
+    }
+    if on_grid:
         params.update({"steps": args.steps, "time": t, "deviation": deviation})
-        columns = {
-            "site": np.arange(args.n),
-            "weight_initial": initial.weights,
-            "weight_quantum": quantum.weights,
-            "weight_transport": transported.weights,
-        }
+        columns["weight_transport"] = transported.weights
     else:
-        quantum = born_distribution(evolve_quantum(energy, args.time, args.omega))
-        nearest_k, deviation = offgrid_deviation(energy, args.time, args.omega)
-        params.update(
-            {
-                "time": args.time,
-                "nearest_k": nearest_k,
-                "deviation_from_nearest_rotation": deviation,
-            }
-        )
-        columns = {
-            "site": np.arange(args.n),
-            "weight_initial": initial.weights,
-            "weight_quantum": quantum.weights,
-        }
+        params.update({"time": t, "nearest_k": k, "deviation_from_nearest_rotation": deviation})
     fig = FigureData(columns=columns, metadata=make_metadata("evolve", params, args.timestamp))
     write_figure(fig, args.out, args.format)
     return 0

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -8,11 +9,11 @@ import numpy as np
 import pytest
 
 from circledual import (
+    ConvergenceError,
     DomainError,
     KERNEL_GUARD,
     NearSingularityError,
     angle_kernel,
-    angle_kernel_abel,
     li_three_halves,
     li_three_halves_circle,
     li_three_halves_sheet2,
@@ -22,6 +23,7 @@ from circledual import (
     sqrt_series_sheet2,
 )
 from circledual import auxfun
+from circledual.cli import main
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -222,17 +224,18 @@ def test_kernel_at_pi_matches_euler_oracle():
 
 
 def test_kernel_conjugate_symmetry():
-    plus = angle_kernel_abel(2.0)
-    minus = angle_kernel_abel(-2.0)
+    plus = angle_kernel(2.0)
+    minus = angle_kernel(-2.0)
     assert abs(minus.value - plus.value.conjugate()) < 1e-9
+    # negating the angle swaps the two Hurwitz zetas: exact conjugates
+    assert auxfun._kernel_hurwitz(-2.0) == auxfun._kernel_hurwitz(2.0).conjugate()
 
 
 def test_kernel_routes_agree():
     for phi in (0.12, 0.5, 1.0, 2.2, 3.1, -0.7):
         expansion = angle_kernel(phi)
-        abel = angle_kernel_abel(phi)
-        tol = max(1e-6, 1e-4 * abs(expansion.value))
-        assert abs(expansion.value - abel.value) <= tol
+        hurwitz = auxfun._kernel_hurwitz(phi)
+        assert abs(expansion.value - hurwitz) <= 1e-12 * abs(expansion.value)
 
 
 def test_kernel_crosscheck_wrapped_in_result():
@@ -249,11 +252,26 @@ def test_kernel_near_singularity_guard():
         angle_kernel(0.0)
 
 
-def test_abel_cost_at_the_guard():
-    # |phi| = KERNEL_GUARD gives the smallest eps0 = sin(phi/2)/2 ~ 2.5e-4; the
-    # seven sums of ceil(52/eps) + 8 terms, eps = eps0/2^j, run from 208,009
-    # to 13,312,009 terms: the worst-case cost of one g cross-check.
-    assert angle_kernel_abel(KERNEL_GUARD).terms == 26_416_063
+def test_kernel_route_disagreement_raises(monkeypatch, tmp_path, capsys):
+    """A check off by 1e-9 relative breaks the 1e-12 |g| agreement bound."""
+    exact = auxfun._hurwitz_zeta_three_halves
+    monkeypatch.setattr(auxfun, "_hurwitz_zeta_three_halves", lambda a: exact(a) * (1.0 + 1e-9))
+    expansion = auxfun._branch_point_series(2j, 2).value
+    with pytest.raises(ConvergenceError) as info:
+        angle_kernel(2.0)
+    assert info.value.best_estimate == expansion
+    assert info.value.error_estimate == pytest.approx(1e-9 * abs(expansion), rel=1e-4)
+    # 64 expansion terms; per Hurwitz zeta 16 direct, 2 endpoint, 8 corrections
+    assert info.value.terms == 64 + 2 * (16 + 2 + 8)
+
+    capsys.readouterr()
+    argv = ["auxfun-eval", "--function", "g", "--phi", "2.0", "--out", str(tmp_path / "g.csv")]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ConvergenceError"
+    assert report["best_estimate"] == [expansion.real, expansion.imag]
+    assert report["error_estimate"] == info.value.error_estimate
+    assert report["terms"] == info.value.terms
 
 
 def test_kernel_small_angle_region_still_cross_checks():
@@ -327,6 +345,25 @@ def test_zeta_table_regenerates_from_functional_equation():
                     * pi ** (1 - k) * zeta_euler_maclaurin(k - half)
                 )
             assert abs(frozen - float(value)) <= 1e-15 * abs(frozen), k
+
+
+def test_hurwitz_corrections_regenerate_from_fractions():
+    """The frozen Euler-Maclaurin constants are B_2j / (2j)!, j = 1..8."""
+    exact = [b / math.factorial(2 * j) for j, b in enumerate(bernoulli_even(8), start=1)]
+    assert auxfun._BERNOULLI_RATIOS == tuple(float(c) for c in exact)
+
+
+def test_hurwitz_route_matches_mpmath():
+    """405 angles: both signs over the accepted range, and its edges."""
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.linspace(KERNEL_GUARD, math.pi, 200)
+    edges = [KERNEL_GUARD, -KERNEL_GUARD, math.pi, -math.pi, 2 * math.pi - KERNEL_GUARD]
+    with mpmath.workdps(30):
+        for phi in [*grid, *-grid, *edges]:
+            phi = reduce_angle(float(phi))
+            exact = complex(mpmath.polylog(-0.5, mpmath.expj(phi)))
+            gap = abs(auxfun._kernel_hurwitz(phi) - exact)
+            assert gap <= 1e-14 * abs(exact), (phi, gap)
 
 
 def _disk_points():

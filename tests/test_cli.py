@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledual import ConvergenceError, ZeroFindingError
+from circledual import ConvergenceError, ZeroFindingError, cli, dynamics
 from circledual.cli import _fail, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -159,6 +159,24 @@ def test_evolve_offgrid_reports_deviation(tmp_path):
     params = payload["metadata"]["parameters"]
     assert "deviation_from_nearest_rotation" in params
     assert "weight_transport" not in payload["columns"]
+
+
+def test_evolve_time_takes_each_distribution_once(tmp_path, monkeypatch):
+    """One evolution and two Born distributions per off-grid run."""
+    counts = {"born_distribution": 0, "evolve_quantum": 0}
+    for name in counts:
+        original = getattr(dynamics, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counting)
+        monkeypatch.setattr(cli, name, counting)
+    argv = ["evolve", "--n", "8", "--state", "random", "--time", "0.3",
+            "--out", str(tmp_path / "evolve.csv")]
+    assert main(argv) == 0
+    assert counts == {"born_distribution": 2, "evolve_quantum": 1}
 
 
 def test_auxfun_eval_f_and_g(tmp_path):

@@ -18,6 +18,7 @@ from circledual import (
     sqrt_series_sheet2,
     sqrt_series_zeros,
 )
+from oracles import neville_at_zero
 
 ROUND_TRIP_TOL = 1e-12
 
@@ -182,26 +183,15 @@ def test_sheet_domains_enforced():
         sqrt_series_disk(1.0 + 1e-12)
 
 
-def abel_limit(values_of_eps, eps_grid):
-    tbl = [complex(v) for v in values_of_eps]
-    n = len(tbl)
-    for k in range(1, n):
-        for i in range(n - k):
-            tbl[i] = (eps_grid[i + k] * tbl[i] - eps_grid[i] * tbl[i + 1]) / (
-                eps_grid[i + k] - eps_grid[i]
-            )
-    return tbl[0]
-
-
 def test_boundary_matching_across_sheets():
     """Two-sided radial limits onto the circle agree after conjugation."""
     phi = 2.0
     eps = [0.04 * 0.5**j for j in range(7)]
-    inside = abel_limit(
-        [sqrt_series_disk((1.0 - e) * cmath.exp(1j * phi)).value for e in eps], eps
+    inside = neville_at_zero(
+        eps, [sqrt_series_disk((1.0 - e) * cmath.exp(1j * phi)).value for e in eps]
     )
-    outside = abel_limit(
-        [sqrt_series_sheet2((1.0 + e) * cmath.exp(1j * phi)).value for e in eps], eps
+    outside = neville_at_zero(
+        eps, [sqrt_series_sheet2((1.0 + e) * cmath.exp(1j * phi)).value for e in eps]
     )
     assert abs(outside - inside.conjugate()) < 1e-4
 
@@ -244,6 +234,20 @@ def test_roots_are_distinct():
     gaps = np.abs(np.diff(roots))
     assert np.min(gaps[gaps > 0]) > 1e-6
     assert np.count_nonzero(np.abs(roots) < 1e-12) == 1
+
+
+@pytest.mark.parametrize("degree", [2, 3, 17, 128, 256, 511, 512])
+def test_nonzero_roots_lie_in_the_enestrom_kakeya_annulus(degree):
+    """S_n(z)/z = sum_k sqrt(k+1) z^k has increasing positive coefficients,
+
+    so by Enestrom-Kakeya its roots satisfy min ratio <= |z| <= max ratio
+    of consecutive coefficients: 1/sqrt(2) <= |z| <= sqrt((n-1)/n), both
+    attained at n = 2."""
+    roots = sqrt_series_zeros(degree).roots
+    nonzero = np.abs(roots[roots != 0])
+    assert nonzero.size == degree - 1
+    assert nonzero.min() >= math.sqrt(0.5) * (1.0 - 1e-12)
+    assert nonzero.max() <= math.sqrt((degree - 1) / degree) * (1.0 + 1e-12)
 
 
 def test_more_roots_hug_the_circle_as_degree_grows():
