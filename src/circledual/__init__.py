@@ -61,9 +61,7 @@ from .figdata import (
 )
 from .hilbert import (
     Basis,
-    DualityMap,
     StateVector,
-    build_duality_map,
     energy_state,
     ontological_state,
     random_state,

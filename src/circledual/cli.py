@@ -31,6 +31,8 @@ from .auxfun import (
     sqrt_series_zeros,
 )
 from .dynamics import (
+    _steps_at_time,
+    _time_at_step,
     born_distribution,
     duality_deviations,
     evolve_quantum,
@@ -49,7 +51,6 @@ from .figdata import (
 )
 from .hilbert import (
     Basis,
-    build_duality_map,
     check_dense_size,
     energy_state,
     ontological_state,
@@ -142,9 +143,9 @@ def _complex_list(text: str) -> list[complex]:
             continue
         try:
             re_part, im_part = tok.split(":")
-            points.append(complex(float(re_part), float(im_part)))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad complex point {tok!r}") from exc
+        points.append(complex(_finite_float(re_part), _finite_float(im_part)))
     return points
 
 
@@ -302,12 +303,17 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _level_operator(kind: str, n: int):
+    """The level-basis a, adag, x or p, building only the pair it belongs to."""
+    if kind in ("a", "adag"):
+        a, adag = build_ladder(n)
+        return a if kind == "a" else adag
+    x, p = build_position_momentum(n)
+    return x if kind == "x" else p
+
+
 def _cmd_matrix_elements(args) -> int:
     kinds = ("a", "adag", "x", "p") if args.which == "all" else (args.which,)
-    dmap = build_duality_map(args.n)
-    a, adag = build_ladder(args.n)
-    x, p = build_position_momentum(args.n)
-    energy_ops = {"a": a, "adag": adag, "x": x, "p": p}
     sites = np.arange(args.n)
     s1 = np.repeat(sites, args.n)
     s2 = np.tile(sites, args.n)
@@ -315,7 +321,7 @@ def _cmd_matrix_elements(args) -> int:
     deviations = {}
     for kind in kinds:
         closed = ontological_matrix(kind, args.n).entries
-        conjugated = conjugate_to_ontological(energy_ops[kind], dmap).entries
+        conjugated = conjugate_to_ontological(_level_operator(kind, args.n)).entries
         deviations[f"max_deviation_{kind}"] = float(np.max(np.abs(closed - conjugated)))
         columns[f"re_{kind}"] = closed.real.ravel()
         columns[f"im_{kind}"] = closed.imag.ravel()
@@ -472,12 +478,12 @@ def _cmd_evolve(args) -> int:
     state = _parse_initial_state(args.state, args.n, args.seed)
     energy = state if state.basis is Basis.ENERGY else to_energy(state)
     on_grid = args.steps is not None
-    t = 2.0 * math.pi * args.steps / (args.n * args.omega) if on_grid else args.time
+    t = _time_at_step(args.steps, args.n, args.omega) if on_grid else args.time
     # both modes compare against a rigid rotation: --time against the nearest
     # one (the rule of offgrid_deviation), with each distribution taken once
     initial = born_distribution(energy)
     quantum = born_distribution(evolve_quantum(energy, t, args.omega))
-    k = args.steps if on_grid else round(t * args.n * args.omega / (2.0 * math.pi)) % args.n
+    k = args.steps if on_grid else round(_steps_at_time(t, args.n, args.omega)) % args.n
     transported = transport_steps(initial, k)
     deviation = float(np.max(np.abs(quantum.weights - transported.weights)))
     params = {

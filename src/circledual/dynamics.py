@@ -70,6 +70,16 @@ class AngleDistribution:
         return self.weights.size
 
 
+def _time_at_step(k, dim: int, omega: float) -> float:
+    """The stroboscopic time t = 2*pi*k/(N*omega) of step k."""
+    return _TAU * k / (dim * omega)
+
+
+def _steps_at_time(t: float, dim: int, omega: float) -> float:
+    """The (generally fractional) step count t*N*omega/(2*pi) at time t."""
+    return t * dim * omega / _TAU
+
+
 def evolve_classical(phase: CirclePhase, t: float, omega: float = 1.0) -> CirclePhase:
     """Rigid rotation phi -> phi + omega*t mod 2*pi."""
     if not math.isfinite(t):
@@ -134,12 +144,12 @@ def transport_distribution(
     Non-stroboscopic times are rejected: at finite N the exact theorem is
     a grid statement, and interpolation is deliberately not offered.
     """
-    steps = t * rho.dim * omega / _TAU
+    steps = _steps_at_time(t, rho.dim, omega)
     k = round(steps)
     if abs(steps - k) > 1e-9 * max(1.0, abs(steps)):
         raise StroboscopicError(
             f"t = {t!r} is {steps:.6f} transport steps; site transport needs an "
-            f"integer multiple of 2*pi/(N*omega) = {_TAU / (rho.dim * omega):.6g}"
+            f"integer multiple of 2*pi/(N*omega) = {_time_at_step(1, rho.dim, omega):.6g}"
         )
     return transport_steps(rho, k)
 
@@ -162,7 +172,7 @@ def duality_deviations(amplitudes, ks, omega: float = 1.0) -> np.ndarray:
     initial = _site_weights(to_sites(amps))
     out = np.empty(len(ks))
     for i, k in enumerate(ks):
-        t = _TAU * k / (dim * omega)
+        t = _time_at_step(k, dim, omega)
         quantum = _site_weights(to_sites(_phases(dim, t, omega) * amps))
         out[i] = np.max(np.abs(quantum - np.roll(initial, int(k), axis=1)))
     return out
@@ -185,7 +195,7 @@ def offgrid_deviation(state: StateVector, t: float, omega: float = 1.0) -> tuple
     Returns (k_nearest, max-norm deviation).  This measures, rather than
     defines, transport at times off the stroboscopic grid.
     """
-    k = round(t * state.dim * omega / _TAU) % state.dim
+    k = round(_steps_at_time(t, state.dim, omega)) % state.dim
     quantum = born_distribution(evolve_quantum(state, t, omega))
     classical = transport_steps(born_distribution(state), k)
     return int(k), float(np.max(np.abs(quantum.weights - classical.weights)))

@@ -11,10 +11,11 @@ matrix
 so that a state's ontological amplitudes are ``U @ energy_amplitudes`` and
 the inverse transform uses ``U^dagger``.  U is a unitary DFT: ``U @ psi``
 is ``ifft(psi, norm="ortho")`` and ``U^dagger @ psi`` is
-``fft(psi, norm="ortho")``.  ``to_ontological`` and ``to_energy`` take that
-O(N log N) route and store nothing but the state; ``build_duality_map``
-builds the dense U entry by entry as the reference construction that the
-tests and the operator cross-check compare against.
+``fft(psi, norm="ortho")``.  This module is the one place that applies U:
+``to_sites`` and ``_to_levels`` take those O(N log N) routes along the last
+axis, ``to_ontological`` and ``to_energy`` use them on states, and
+``operators.conjugate_to_ontological`` uses them on the rows and columns of
+an operator.  The library builds no dense U; ``to_sites(np.eye(N))`` is U.
 
 Dense N x N storage is capped at ``DENSE_ENTRY_CEILING`` complex entries
 (4096^2, 256 MiB); every dense constructor checks the size it is about to
@@ -60,6 +61,11 @@ def check_dense_size(rows: int, cols: int, what: str) -> None:
 def to_sites(amplitudes: np.ndarray) -> np.ndarray:
     """U applied along the last axis: energy amplitudes to circle-site amplitudes."""
     return np.fft.ifft(amplitudes, axis=-1, norm="ortho")
+
+
+def _to_levels(amplitudes: np.ndarray) -> np.ndarray:
+    """U^dagger applied along the last axis: circle-site amplitudes to energy amplitudes."""
+    return np.fft.fft(amplitudes, axis=-1, norm="ortho")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,42 +125,6 @@ def random_state(dim: int, rng: np.random.Generator, basis: Basis = Basis.ENERGY
     return StateVector(basis, amps / np.linalg.norm(amps))
 
 
-@dataclass(frozen=True, eq=False)
-class DualityMap:
-    """The N x N unitary connecting the energy and ontological bases.
-
-    Column n holds the ontological-basis representation of the energy
-    eigenstate |n>.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_readonly_complex(self.matrix, 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"duality map must be square, got {arr.shape}")
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def unitarity_defect(self) -> float:
-        """Max-entry deviation of U^dagger U from the identity."""
-        u = self.matrix
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(self.dim))))
-
-
-def build_duality_map(dim: int) -> DualityMap:
-    """Construct U[s, n] = exp(2j*pi*n*s/dim)/sqrt(dim)."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise DimensionError(f"dimension must be a positive integer, got {dim!r}")
-    check_dense_size(dim, dim, "the duality map")
-    idx = np.arange(dim)
-    phases = np.exp(2j * np.pi * np.outer(idx, idx) / dim)
-    return DualityMap(phases / np.sqrt(dim))
-
-
 def to_ontological(state: StateVector) -> StateVector:
     """Re-express an energy-basis state over the circle sites (U psi, by FFT)."""
     if state.basis is not Basis.ENERGY:
@@ -166,4 +136,4 @@ def to_energy(state: StateVector) -> StateVector:
     """Re-express a circle-site state over the energy levels (U^dagger psi, by FFT)."""
     if state.basis is not Basis.ONTOLOGICAL:
         raise BasisError("to_energy expects an ontological-basis state")
-    return StateVector(Basis.ENERGY, np.fft.fft(state.amplitudes, norm="ortho"))
+    return StateVector(Basis.ENERGY, _to_levels(state.amplitudes))

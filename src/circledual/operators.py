@@ -17,9 +17,11 @@ S_{N-1}(e^{2j*pi*d/N}) / N are exactly the inverse DFT of sqrt(0..N-1).
 ``ontological_matrix`` is the primary route: it builds a from that FFT
 kernel and takes a^dag = a^H, x = (a + a^dag)/sqrt(2) and
 p = 1j*(a^dag - a)/sqrt(2) from it, so x and p are hermitian by
-construction.  ``conjugate_to_ontological`` (U M U^dag with the dense
-duality map) is the one independent cross-check.  Every dense constructor
-checks its N x N size against ``hilbert.DENSE_ENTRY_CEILING`` first.
+construction.  ``conjugate_to_ontological`` is the one independent
+cross-check: it carries the level-basis matrix across the basis change,
+U M U^dag, by FFTs over its rows and columns (O(N^2 log N), no dense U).
+Every dense constructor checks its N x N size against
+``hilbert.DENSE_ENTRY_CEILING`` first.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, DimensionError, DomainError
-from .hilbert import Basis, DualityMap, _as_readonly_complex, check_dense_size
+from .hilbert import Basis, _as_readonly_complex, _to_levels, check_dense_size, to_sites
 
 HERMITICITY_TOL = 1e-12
 
@@ -107,14 +109,15 @@ def build_hamiltonian(dim: int, omega: float = 1.0) -> OperatorMatrix:
     return OperatorMatrix(Basis.ENERGY, np.diag(levels).astype(np.complex128), hermitian=True)
 
 
-def conjugate_to_ontological(op: OperatorMatrix, dmap: DualityMap) -> OperatorMatrix:
-    """Basis-change an energy-basis operator to the circle sites: U M U^dag."""
+def conjugate_to_ontological(op: OperatorMatrix) -> OperatorMatrix:
+    """Basis-change an energy-basis operator to the circle sites: U M U^dag.
+
+    U and U^dag are symmetric, so M U^dag applies U^dag to every row of M,
+    and U B = (B^T U)^T applies U to every row of B^T.
+    """
     if op.basis is not Basis.ENERGY:
         raise BasisError("operator is not in the energy basis")
-    if op.dim != dmap.dim:
-        raise DimensionError(f"operator dim {op.dim} != map dim {dmap.dim}")
-    u = dmap.matrix
-    out = u @ op.entries @ u.conj().T
+    out = to_sites(_to_levels(op.entries).T).T
     return OperatorMatrix(Basis.ONTOLOGICAL, out, hermitian=op.hermitian)
 
 

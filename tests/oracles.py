@@ -1,5 +1,7 @@
 """Test-side oracles that share no code with the library.
 
+``duality_matrix`` is the basis change U written out entry by entry from
+its exp formula, the reference that pins the library's FFT convention.
 ``abel_kernel`` is the definition of g taken literally: the Abel limit
 r -> 1- of the divergent series sum sqrt(n) (r e^{i phi})^n, from damped
 partial sums extrapolated polynomially in (1 - r).
@@ -8,6 +10,12 @@ partial sums extrapolated polynomially in (1 - r).
 import math
 
 import numpy as np
+
+
+def duality_matrix(n):
+    """Dense U[s, m] = exp(2j*pi*m*s/n)/sqrt(n), the phase index reduced mod n."""
+    idx = np.arange(n)
+    return np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n) / np.sqrt(n)
 
 
 def neville_at_zero(xs, ys):

@@ -130,6 +130,16 @@ def test_matrix_elements_artifact(tmp_path):
     assert data.shape == (256, 4)
 
 
+@pytest.mark.parametrize("kind", ["a", "adag"])
+def test_matrix_elements_builds_only_the_requested_kind(tmp_path, monkeypatch, kind):
+    def refuse(n):
+        raise AssertionError("x and p were built for a ladder operator")
+
+    monkeypatch.setattr(cli, "build_position_momentum", refuse)
+    out = tmp_path / "elements.csv"
+    assert main(["matrix-elements", "--n", "16", "--which", kind, "--out", str(out)]) == 0
+
+
 def test_evolve_stroboscopic(tmp_path):
     out = tmp_path / "evolve.csv"
     code = main(
@@ -369,6 +379,16 @@ def test_float_flags_exit_cleanly(tmp_path_factory, template, text):
     assert code in (0, 1, 2)
     if code == 1:
         assert json.loads(stdout.getvalue().strip().split("\n")[-1])["status"] == "error"
+
+
+@pytest.mark.parametrize("function", ["F", "G2", "GN"])
+@pytest.mark.parametrize("point", ["nan:0", "inf:0", "0.3:1e400"])
+def test_non_finite_points_are_unusable_flags(tmp_path, function, point):
+    out = tmp_path / "aux.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["auxfun-eval", "--function", function, "--n", "3", f"--z={point}", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert not out.exists()
 
 
 def test_error_report_keeps_diagnostics(capsys):

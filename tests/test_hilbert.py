@@ -10,46 +10,34 @@ from circledual import (
     BasisError,
     DimensionError,
     StateVector,
-    build_duality_map,
+    build_ladder,
     energy_state,
+    ontological_matrix,
     ontological_state,
     random_state,
     to_energy,
     to_ontological,
 )
-from circledual.hilbert import DENSE_ENTRY_CEILING
+from circledual.hilbert import DENSE_ENTRY_CEILING, to_sites
+from oracles import duality_matrix
 
 UNITARITY_TOL = 1e-12
 
 
-def reference_map(n):
-    """Independent elementwise construction, no vectorized shortcuts."""
-    u = np.empty((n, n), dtype=complex)
-    for s in range(n):
-        for m in range(n):
-            u[s, m] = np.exp(2j * np.pi * m * s / n) / np.sqrt(n)
-    return u
-
-
 def test_dim_one_is_identity():
-    assert np.allclose(build_duality_map(1).matrix, [[1.0]])
+    assert np.allclose(to_sites(np.eye(1)), [[1.0]])
 
 
 def test_dim_two_exact():
     expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    assert np.max(np.abs(build_duality_map(2).matrix - expected)) < 1e-15
+    assert np.max(np.abs(to_sites(np.eye(2)) - expected)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 64])
 def test_unitarity(n):
-    assert build_duality_map(n).unitarity_defect() <= UNITARITY_TOL
-
-
-def test_invalid_dimensions():
-    with pytest.raises(DimensionError):
-        build_duality_map(0)
-    with pytest.raises(DimensionError):
-        build_duality_map(-3)
+    """The U the library applies, read off as to_sites of the identity."""
+    u = to_sites(np.eye(n))
+    assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= UNITARITY_TOL
 
 
 def test_ground_state_maps_to_uniform():
@@ -83,7 +71,7 @@ def test_random_state_agrees_with_reference_matrix():
     rng = np.random.default_rng(7)
     state = random_state(n, rng)
     out = to_ontological(state)
-    expected = reference_map(n) @ state.amplitudes
+    expected = duality_matrix(n) @ state.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
     assert abs(out.norm - 1.0) < 1e-12
 
@@ -95,13 +83,6 @@ def test_round_trip_of_basis_states():
         target = np.zeros(n)
         target[k] = 1.0
         assert np.max(np.abs(back.amplitudes - target)) < 1e-12
-
-
-def test_adjoint_columns_are_conjugated_rows():
-    u = build_duality_map(13).matrix
-    udag = u.conj().T
-    for s in range(13):
-        assert np.array_equal(udag[:, s], u[s, :].conj())
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,7 +101,8 @@ def test_round_trip_and_parseval(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 256, 1024])
 def test_fft_route_matches_dense_map(n):
     """The FFT basis change equals U @ psi and U^dagger @ psi with the dense U."""
-    u = build_duality_map(n).matrix
+    u = duality_matrix(n)
+    assert np.max(np.abs(to_sites(np.eye(n)) - u)) <= 1e-13
     rng = np.random.default_rng(n)
     states = [random_state(n, rng), energy_state(n - 1, n), energy_state(n // 2, n)]
     for state in states:
@@ -152,7 +134,9 @@ def test_dense_map_ceiling_checked_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(DimensionError, match="ceiling"):
-            build_duality_map(4097)
+            ontological_matrix("a", 4097)
+        with pytest.raises(DimensionError, match="ceiling"):
+            build_ladder(4097)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,6 @@ from circledual import (
     BasisError,
     DimensionError,
     OperatorMatrix,
-    build_duality_map,
     build_hamiltonian,
     build_ladder,
     build_position_momentum,
@@ -16,6 +15,7 @@ from circledual import (
     conjugate_to_ontological,
     ontological_matrix,
 )
+from oracles import duality_matrix
 
 AGREEMENT_TOL = 1e-10
 
@@ -79,7 +79,7 @@ def test_config_validation():
 def test_site_basis_hamiltonian_has_constant_diagonal():
     n = 12
     h = build_hamiltonian(n)
-    h_site = conjugate_to_ontological(h, build_duality_map(n))
+    h_site = conjugate_to_ontological(h)
     assert h_site.basis is Basis.ONTOLOGICAL
     assert np.max(np.abs(np.diag(h_site.entries) - (n - 1) / 2.0)) < 1e-12
 
@@ -87,7 +87,7 @@ def test_site_basis_hamiltonian_has_constant_diagonal():
 def test_identity_is_fixed_by_conjugation():
     n = 9
     eye = OperatorMatrix(Basis.ENERGY, np.eye(n), hermitian=True)
-    out = conjugate_to_ontological(eye, build_duality_map(n))
+    out = conjugate_to_ontological(eye)
     assert np.max(np.abs(out.entries - np.eye(n))) < 1e-13
 
 
@@ -95,7 +95,7 @@ def test_spectrum_preserved_by_conjugation():
     n = 64
     omega = 1.3
     h = build_hamiltonian(n, omega)
-    h_site = conjugate_to_ontological(h, build_duality_map(n))
+    h_site = conjugate_to_ontological(h)
     eigs = np.sort(np.linalg.eigvalsh(h_site.entries))
     assert np.max(np.abs(eigs - omega * np.arange(n))) < 1e-9
 
@@ -103,13 +103,25 @@ def test_spectrum_preserved_by_conjugation():
 @pytest.mark.parametrize("kind", ["a", "adag", "x", "p"])
 @pytest.mark.parametrize("n", [2, 16, 64])
 def test_closed_form_matches_conjugation(kind, n):
-    dmap = build_duality_map(n)
     a, adag = build_ladder(n)
     x, p = build_position_momentum(n)
     level_ops = {"a": a, "adag": adag, "x": x, "p": p}
     closed = ontological_matrix(kind, n).entries
-    conjugated = conjugate_to_ontological(level_ops[kind], dmap).entries
+    conjugated = conjugate_to_ontological(level_ops[kind]).entries
     assert np.max(np.abs(closed - conjugated)) <= AGREEMENT_TOL
+
+
+def test_fft_conjugation_matches_dense_map():
+    """U M U^dag by FFT equals the product with the exp-formula U."""
+    n = 256
+    u = duality_matrix(n)
+    a, adag = build_ladder(n)
+    x, p = build_position_momentum(n)
+    for op in (a, adag, x, p, build_hamiltonian(n, omega=1.3)):
+        dense = u @ op.entries @ u.conj().T
+        fft = conjugate_to_ontological(op)
+        assert fft.basis is Basis.ONTOLOGICAL
+        assert np.max(np.abs(fft.entries - dense)) <= AGREEMENT_TOL
 
 
 def test_element_trivial_and_diagonal_cases():
