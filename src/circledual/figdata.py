@@ -5,6 +5,15 @@ object {"metadata": ..., "columns": ...}.  Floats are written with 17
 significant digits so a reader recovers the exact doubles; given the same
 parameters the bytes are identical run to run.  Column layouts per command
 are documented in FORMATS.md.
+
+The writers work column by column.  Every column is checked whole first
+(1-d, bool/int/float, floats finite) and the metadata rendered, before the
+file is opened, so a value that cannot be written leaves nothing behind.
+Rows then go out in fixed blocks of ``_ROW_BLOCK``: a block is formatted
+by one printf-style template, ``"%.17g"`` per float, ``"%d"`` per integer,
+repeated once per row of the CSV or once per entry of a JSON column array,
+so no Python code runs per cell and the text held in memory stays a few
+MiB at any row count.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -60,6 +70,7 @@ def _format_number(value) -> str:
 
 
 def _render_json(obj, indent: int = 0) -> str:
+    """Metadata layout: two-space indented objects, one-line arrays."""
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -73,25 +84,81 @@ def _render_json(obj, indent: int = 0) -> str:
             for key, val in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         items = [_render_json(v, indent + 1) for v in obj]
         return "[" + ", ".join(items) + "]"
     return _format_number(obj)
 
 
+# Rows formatted at a time.  Bounds the strings held in memory to a few MiB
+# whatever the artifact size, while keeping the per-block overhead small.
+_ROW_BLOCK = 4096
+
+
+def _checked_columns(fig: FigureData) -> list[np.ndarray]:
+    """Every column as a 1-d bool, integer or finite float64 array.
+
+    Called before the artifact is opened, so a column that cannot be
+    written leaves any existing file untouched.
+    """
+    checked = []
+    for name, values in fig.columns.items():
+        arr = np.asarray(values)
+        if arr.ndim != 1:
+            raise DimensionError(f"column {name!r} must be 1-d, got shape {arr.shape}")
+        if arr.dtype.kind == "f":
+            arr = arr.astype(np.float64, copy=False)
+            finite = np.isfinite(arr)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise DomainError(
+                    f"cannot serialize non-finite value {float(arr[row])!r} "
+                    f"in column {name!r}, row {row}"
+                )
+        elif arr.dtype.kind not in "biu":
+            raise DomainError(f"cannot serialize column {name!r} of dtype {arr.dtype}")
+        checked.append(arr)
+    return checked
+
+
+# printf field per dtype kind; "%.17g" % x is the same text as format(x, ".17g")
+_FIELD = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g"}
+
+
+def _block_values(arr: np.ndarray) -> list:
+    """A checked column slice as Python values, bools already spelled true/false."""
+    if arr.dtype.kind == "b":
+        return np.where(arr, "true", "false").tolist()
+    return arr.tolist()
+
+
 def write_json(fig: FigureData, path) -> None:
-    payload = {"metadata": fig.metadata, "columns": dict(fig.columns)}
+    columns = _checked_columns(fig)
+    metadata = _render_json(fig.metadata, 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_render_json(payload) + "\n")
+        fh.write('{\n  "metadata": ' + metadata + ',\n  "columns": ')
+        if not columns:
+            fh.write("{}\n}\n")
+            return
+        for i, (name, arr) in enumerate(zip(fig.columns, columns)):
+            fh.write(("{\n" if i == 0 else ",\n") + f"    {json.dumps(str(name))}: [")
+            spec = _FIELD[arr.dtype.kind]
+            for start in range(0, len(arr), _ROW_BLOCK):
+                values = _block_values(arr[start : start + _ROW_BLOCK])
+                text = ", ".join([spec] * len(values)) % tuple(values)
+                fh.write(", " + text if start else text)
+            fh.write("]")
+        fh.write("\n  }\n}\n")
 
 
 def write_csv(fig: FigureData, path) -> None:
-    names = list(fig.columns)
-    arrays = [np.asarray(fig.columns[name]) for name in names]
+    columns = _checked_columns(fig)
+    row = ",".join(_FIELD[arr.dtype.kind] for arr in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(fig.rows):
-            fh.write(",".join(_format_number(arr[i]) for arr in arrays) + "\n")
+        fh.write(",".join(fig.columns) + "\n")
+        for start in range(0, fig.rows, _ROW_BLOCK):
+            block = [_block_values(arr[start : start + _ROW_BLOCK]) for arr in columns]
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def write_figure(fig: FigureData, path, fmt: str) -> None:

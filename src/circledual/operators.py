@@ -35,6 +35,8 @@ from .errors import BasisError, DimensionError, DomainError
 from .hilbert import Basis, _as_readonly_complex, _to_levels, check_dense_size, to_sites
 
 HERMITICITY_TOL = 1e-12
+# entries of M - M^H formed at a time by the hermiticity check (1 MiB)
+_DEFECT_BLOCK_ENTRIES = 1 << 16
 
 _ELEMENT_KINDS = ("a", "adag", "x", "p")
 
@@ -65,7 +67,13 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        """max |M - M^H|, over row blocks so the temporaries stay small."""
+        m = self.entries
+        step = max(1, _DEFECT_BLOCK_ENTRIES // m.shape[0])
+        return max(
+            float(np.max(np.abs(m[i : i + step] - m[:, i : i + step].T.conj())))
+            for i in range(0, m.shape[0], step)
+        )
 
 
 def build_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -80,22 +88,28 @@ def build_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     )
 
 
-def _position_momentum(basis: Basis, a: np.ndarray) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """x = (a + a^dag)/sqrt(2) and p = 1j*(a^dag - a)/sqrt(2), a^dag = a^H.
+def _hermitian_part(a: np.ndarray, which: str) -> np.ndarray:
+    """x = (a + a^dag)/sqrt(2) or p = 1j*(a^dag - a)/sqrt(2), a^dag = a^H.
 
-    Entry (j, i) of each is the exact conjugate of entry (i, j), so both
-    are hermitian to the last bit.
+    Built in one new array, in place.  Entry (j, i) is the exact conjugate
+    of entry (i, j), so the result is hermitian to the last bit.
     """
-    adag = a.conj().T
-    x = (a + adag) / math.sqrt(2.0)
-    p = 1j * (adag - a) / math.sqrt(2.0)
-    return OperatorMatrix(basis, x, hermitian=True), OperatorMatrix(basis, p, hermitian=True)
+    out = np.conjugate(a.T, order="C")
+    if which == "x":
+        np.add(a, out, out=out)
+    else:
+        np.subtract(out, a, out=out)
+        np.multiply(1j, out, out=out)
+    return np.divide(out, math.sqrt(2.0), out=out)
 
 
 def build_position_momentum(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Level-basis x = (a + a^dag)/sqrt(2) and p = 1j*(a^dag - a)/sqrt(2)."""
     a, _ = build_ladder(dim)
-    return _position_momentum(Basis.ENERGY, a.entries)
+    return tuple(
+        OperatorMatrix(Basis.ENERGY, _hermitian_part(a.entries, which), hermitian=True)
+        for which in "xp"
+    )
 
 
 def build_hamiltonian(dim: int, omega: float = 1.0) -> OperatorMatrix:
@@ -121,23 +135,34 @@ def conjugate_to_ontological(op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(Basis.ONTOLOGICAL, out, hermitian=op.hermitian)
 
 
+def _site_lowering(dim: int) -> np.ndarray:
+    """a on the circle sites: row phase e^{-i phi1} times the circulant kernel."""
+    kernel_by_diff = np.fft.ifft(np.sqrt(np.arange(dim)))  # S_{dim-1}(e^{2j*pi*d/dim}) / dim
+    # windows of [k_1 .. k_{dim-1}, k_0 .. k_{dim-1}], reversed, put
+    # k_{(s1 - s2) mod dim} at (s1, s2) as a view: no index array, no copy
+    wrapped = np.concatenate((kernel_by_diff[1:], kernel_by_diff))
+    kernel = np.lib.stride_tricks.sliding_window_view(wrapped, dim)[:, ::-1]
+    return np.exp(-2j * np.pi * np.arange(dim) / dim)[:, None] * kernel
+
+
 def ontological_matrix(which: str, dim: int) -> OperatorMatrix:
-    """Full circle-site matrix of a, adag, x or p from the FFT kernel."""
+    """Full circle-site matrix of a, adag, x or p from the FFT kernel.
+
+    Only the requested kind is built: at most two dense N x N arrays are
+    live at once.
+    """
     if which not in _ELEMENT_KINDS:
         raise DomainError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     check_dense_size(dim, dim, "the operator")
-    sites = np.arange(dim)
-    kernel_by_diff = np.fft.ifft(np.sqrt(sites))  # S_{dim-1}(e^{2j*pi*d/dim}) / dim
-    kernel = kernel_by_diff[np.mod(sites[:, None] - sites[None, :], dim)]
-    a = np.exp(-2j * np.pi * sites / dim)[:, None] * kernel  # e^{-i phi1} on rows
     if which == "a":
-        return OperatorMatrix(Basis.ONTOLOGICAL, a)
+        return OperatorMatrix(Basis.ONTOLOGICAL, _site_lowering(dim))
     if which == "adag":
-        return OperatorMatrix(Basis.ONTOLOGICAL, a.conj().T)
-    x, p = _position_momentum(Basis.ONTOLOGICAL, a)
-    return x if which == "x" else p
+        return OperatorMatrix(Basis.ONTOLOGICAL, np.conjugate(_site_lowering(dim).T))
+    return OperatorMatrix(
+        Basis.ONTOLOGICAL, _hermitian_part(_site_lowering(dim), which), hermitian=True
+    )
 
 
 def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:

@@ -5,8 +5,14 @@ its exp formula, the reference that pins the library's FFT convention.
 ``abel_kernel`` is the definition of g taken literally: the Abel limit
 r -> 1- of the divergent series sum sqrt(n) (r e^{i phi})^n, from damped
 partial sums extrapolated polynomially in (1 - r).
+``site_operator_entries`` is the circle-site a, a^dag, x or p formed the
+direct way, through an N x N difference-index array.  ``reference_csv`` and
+``reference_json`` are the artifact writers cell by cell: every value goes
+through one scalar formatter, every JSON array through one recursive
+renderer.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +22,68 @@ def duality_matrix(n):
     """Dense U[s, m] = exp(2j*pi*m*s/n)/sqrt(n), the phase index reduced mod n."""
     idx = np.arange(n)
     return np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n) / np.sqrt(n)
+
+
+def site_operator_entries(which, n):
+    """a[s1, s2] = e^{-2j*pi*s1/n} ifft(sqrt(0..n-1))[(s1 - s2) mod n], then a^H, x, p."""
+    sites = np.arange(n)
+    kernel_by_diff = np.fft.ifft(np.sqrt(sites))
+    kernel = kernel_by_diff[np.mod(sites[:, None] - sites[None, :], n)]
+    a = np.exp(-2j * np.pi * sites / n)[:, None] * kernel
+    adag = a.conj().T
+    if which == "a":
+        return a
+    if which == "adag":
+        return adag
+    if which == "x":
+        return (a + adag) / math.sqrt(2.0)
+    return 1j * (adag - a) / math.sqrt(2.0)
+
+
+def _reference_number(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite value {value!r}")
+    return format(value, ".17g")
+
+
+def _reference_render(obj, indent=0):
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(str(key))}: {_reference_render(val, indent + 1)}"
+            for key, val in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_reference_render(v, indent + 1) for v in obj) + "]"
+    return _reference_number(obj)
+
+
+def reference_csv(fig):
+    """The CSV artifact of a FigureData as bytes: header, then one row per loop turn."""
+    names = list(fig.columns)
+    arrays = [np.asarray(fig.columns[name]) for name in names]
+    lines = [",".join(names)]
+    for i in range(fig.rows):
+        lines.append(",".join(_reference_number(arr[i]) for arr in arrays))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_json(fig):
+    """The JSON artifact of a FigureData as bytes, metadata and columns alike rendered recursively."""
+    payload = {"metadata": fig.metadata, "columns": dict(fig.columns)}
+    return (_reference_render(payload) + "\n").encode("utf-8")
 
 
 def neville_at_zero(xs, ys):

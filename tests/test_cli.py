@@ -391,6 +391,19 @@ def test_non_finite_points_are_unusable_flags(tmp_path, function, point):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_serialization_error_leaves_existing_artifact_untouched(tmp_path, capsys, fmt):
+    """G_N(2) at N = 2000 overflows to nan: exit 1, report, and no byte written."""
+    out = tmp_path / f"aux.{fmt}"
+    out.write_bytes(b"previous artifact\n")
+    argv = ["auxfun-eval", "--function", "GN", "--n", "2000", "--z=0.5:0,2:0"]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 1
+    report = json.loads(capsys.readouterr().out.strip())
+    assert report["status"] == "error" and report["error"] == "DomainError"
+    assert "column 're', row 1" in report["message"]
+    assert out.read_bytes() == b"previous artifact\n"
+
+
 def test_error_report_keeps_diagnostics(capsys):
     exc = ConvergenceError("routes disagree", best_estimate=1.5 - 2j, error_estimate=3e-5, terms=42)
     assert _fail("auxfun-eval", exc) == 1

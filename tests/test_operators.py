@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from circledual import (
     conjugate_to_ontological,
     ontological_matrix,
 )
-from oracles import duality_matrix
+from oracles import duality_matrix, site_operator_entries
 
 AGREEMENT_TOL = 1e-10
 
@@ -55,6 +56,27 @@ def test_hermiticity_large():
     # the closed form takes x and p from a and a^H: hermitian to the last bit
     for kind in ("x", "p"):
         assert ontological_matrix(kind, 384).hermiticity_defect() == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 1024])
+def test_site_operators_match_direct_formula_bit_for_bit(n):
+    """The in-place build changes no bit of any entry, signed zeros included."""
+    for kind in ("a", "adag", "x", "p"):
+        built = np.ascontiguousarray(ontological_matrix(kind, n).entries)
+        direct = np.ascontiguousarray(site_operator_entries(kind, n))
+        assert np.array_equal(built.view(np.uint64), direct.view(np.uint64)), kind
+
+
+@pytest.mark.parametrize("kind", ["x", "p"])
+def test_site_position_momentum_peak_memory(kind):
+    """One N = 1024 x or p stays within four dense complex N x N arrays (16 MiB each)."""
+    tracemalloc.start()
+    try:
+        ontological_matrix(kind, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 1024 * 1024 * 16
 
 
 def test_hamiltonian_values():
