@@ -365,7 +365,11 @@ def map_to_z(y: complex, sheet: int = 1) -> complex:
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
     """All complex roots of sqrt_series(degree, .), sorted by argument,
-    with the per-root residuals |S_degree(root)|."""
+    with the per-root residuals |S_degree(root)|.
+
+    ``sqrt_series_zeros`` returns a set whose worst residual is at most
+    1e-8 * sqrt(degree), the largest coefficient of S_degree, and whose
+    non-real roots come in exact conjugate pairs."""
 
     degree: int
     roots: np.ndarray
@@ -393,42 +397,110 @@ class ZeroSet:
 
 MAX_ZERO_DEGREE = 512
 
+# Aberth-Ehrlich sweeps before sqrt_series_zeros gives up; every degree in
+# 1..MAX_ZERO_DEGREE converges within 32.
+_ABERTH_SWEEPS = 64
+
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """Rows z^0 .. z^(count-1), one per point, by a cumulative product.
+
+    With it q and q' at every point are one matrix product, not a Python
+    loop over the coefficients.
+    """
+    powers = np.empty((z.size, count), dtype=np.complex128)
+    powers[:, 0] = 1.0
+    np.cumprod(np.broadcast_to(z[:, None], (z.size, count - 1)), axis=1, out=powers[:, 1:])
+    return powers
+
 
 def sqrt_series_zeros(degree: int) -> ZeroSet:
-    """Roots of S_degree via companion-matrix eigenvalues plus one Newton step.
+    """All roots of S_degree by a conjugate-symmetric Aberth-Ehrlich iteration.
 
-    The constant term vanishes, so z = 0 is always among the roots.  The
-    residual max |S_degree(root)| must stay below 1e-8 * max coefficient.
+    The constant term vanishes, so z = 0 is an exact root.  The other
+    m = degree - 1 are the roots of q(z) = S_degree(z)/z = sum_{j<=m}
+    sqrt(j+1) z^j, whose coefficients increase, so by Enestrom-Kakeya they
+    lie in the annulus 1/sqrt(2) <= |z| <= sqrt(m/(m+1)).  The iteration
+    (O. Aberth, Math. Comp. 27, 1973; D. A. Bini, Numer. Algorithms 13,
+    1996) starts from m points at angles (2k+1) pi/m on the outer circle
+    and moves only those in the upper half plane, plus the real one when m
+    is odd, kept real; the rest are their conjugates, so the returned roots
+    come in exact conjugate pairs.  Every iterate is put back into the
+    annulus after each sweep.
+
+    Three checks must hold, else ``ZeroFindingError`` carries the
+    diagnostics: every iterate converged within the sweep cap; the
+    inclusion disks |z - root| <= m |q/q'| (each holds a root of q; q and
+    q' are widened by their rounding bound) are pairwise disjoint and
+    exclude 0, so no two roots stand for one; and the worst residual
+    |S_degree(root)| is at most 1e-8 * max coefficient = 1e-8 sqrt(degree).
     """
     if not 1 <= degree <= MAX_ZERO_DEGREE:
         raise DimensionError(f"degree must be in 1..{MAX_ZERO_DEGREE}, got {degree}")
-    coeffs = _sqrt_poly_coeffs(degree)
-    try:
-        roots = np.roots(coeffs)
-    except np.linalg.LinAlgError as exc:
-        raise ZeroFindingError(
-            f"companion eigenvalue solver failed for degree {degree}",
-            diagnostics={"degree": degree, "lapack_error": str(exc)},
-        ) from exc
-    if roots.size != degree:
-        raise ZeroFindingError(
-            f"expected {degree} eigenvalues, got {roots.size}",
-            diagnostics={"degree": degree, "count": int(roots.size)},
-        )
-    roots = roots.astype(np.complex128)
-    deriv = coeffs[:-1] * np.arange(degree, 0, -1)
-    values = _polyval(coeffs, roots)
-    slopes = _polyval(deriv, roots)
-    safe = slopes != 0
-    roots[safe] -= values[safe] / slopes[safe]
+    m = degree - 1
+    half = m // 2
+    inner, outer = math.sqrt(0.5), math.sqrt(m / degree)
+    # columns: sqrt(j+1) and (j+1) sqrt(j+2), the coefficients of q and q'
+    table = np.zeros((degree, 2))
+    table[:, 0] = np.sqrt(np.arange(1, degree + 1))
+    table[:-1, 1] = table[1:, 0] * np.arange(1, degree)
+    z = outer * np.exp(1j * math.pi * (2 * np.arange(half + m % 2) + 1) / max(m, 1))
+    if m % 2:
+        z[half] = -outer
+    active = np.ones(z.size, dtype=bool)
+    sweeps, worst_step = 0, 0.0
+    while active.any() and sweeps < _ABERTH_SWEEPS:
+        sweeps += 1
+        idx = np.flatnonzero(active)
+        values = _powers(z[idx], degree) @ table
+        newton = values[:, 0] / values[:, 1]
+        differences = z[idx, None] - np.concatenate([z, z[:half].conj()])
+        differences[np.arange(idx.size), idx] = np.inf
+        step = newton / (1.0 - newton * np.sum(1.0 / differences, axis=1))
+        if m % 2 and idx[-1] == half:
+            step[-1] = step[-1].real
+        moved = z[idx] - step
+        modulus = np.abs(moved)
+        z[idx] = moved * (np.clip(modulus, inner, outer) / modulus)
+        worst_step = float(np.max(np.abs(step)))
+        active[idx[np.abs(step) <= 4.0 * sys.float_info.epsilon * modulus]] = False
 
-    order = np.lexsort((np.abs(roots), np.angle(roots)))
-    roots = roots[order]
+    disk_gap = math.inf
+    if m:
+        # inclusion radii m (|q| + e) / (|q'| - e'), e and e' the rounding
+        # bounds 4 (m + 1) eps sum |coefficient| |z|^j of q and q'
+        powers = _powers(z, degree)
+        values = powers @ table
+        slack = 4.0 * degree * sys.float_info.epsilon * (np.abs(powers) @ table)
+        denominator = np.abs(values[:, 1]) - slack[:, 1]
+        radii = np.full(z.size, np.inf)
+        held = denominator > 0
+        radii[held] = m * (np.abs(values[held, 0]) + slack[held, 0]) / denominator[held]
+        centers = np.concatenate([z, z[:half].conj(), [0.0]])
+        spans = np.concatenate([radii, radii[:half], [0.0]])
+        gaps = np.abs(z[:, None] - centers) - radii[:, None] - spans
+        gaps[np.arange(z.size), np.arange(z.size)] = np.inf
+        disk_gap = float(np.min(gaps))
+
+    roots = np.concatenate([[0.0], z, z[:half].conj()])
+    roots = roots[np.lexsort((np.abs(roots), np.angle(roots)))]
+    coeffs = _sqrt_poly_coeffs(degree)
     zero_set = ZeroSet(degree=degree, roots=roots, residuals=np.abs(_polyval(coeffs, roots)))
-    bound = 1e-8 * float(np.max(np.abs(coeffs)))
-    if zero_set.residual > bound:
+    bound = 1e-8 * math.sqrt(degree)
+    unconverged = int(np.count_nonzero(active))
+    if unconverged or not disk_gap > 0.0 or not zero_set.residual <= bound:
         raise ZeroFindingError(
-            f"post-polish residual {zero_set.residual:.3e} exceeds bound {bound:.3e}",
-            diagnostics={"degree": degree, "residual": zero_set.residual, "bound": bound},
+            f"Aberth-Ehrlich iteration for degree {degree} failed after {sweeps} sweeps: "
+            f"{unconverged} unconverged, smallest inclusion-disk gap {disk_gap:.3e}, "
+            f"residual {zero_set.residual:.3e} (bound {bound:.3e})",
+            diagnostics={
+                "degree": degree,
+                "sweeps": sweeps,
+                "unconverged": unconverged,
+                "worst_step": worst_step,
+                "disk_gap": disk_gap,
+                "residual": zero_set.residual,
+                "bound": bound,
+            },
         )
     return zero_set

@@ -105,7 +105,7 @@ def _hermitian_part(a: np.ndarray, which: str) -> np.ndarray:
 
 def build_position_momentum(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Level-basis x = (a + a^dag)/sqrt(2) and p = 1j*(a^dag - a)/sqrt(2)."""
-    a, _ = build_ladder(dim)
+    a = build_ladder(dim)[0]  # a^dag would stay alive while x and p are built
     return tuple(
         OperatorMatrix(Basis.ENERGY, _hermitian_part(a.entries, which), hermitian=True)
         for which in "xp"

@@ -9,7 +9,8 @@ partial sums extrapolated polynomially in (1 - r).
 direct way, through an N x N difference-index array.  ``reference_csv`` and
 ``reference_json`` are the artifact writers cell by cell: every value goes
 through one scalar formatter, every JSON array through one recursive
-renderer.
+renderer.  ``companion_roots`` finds the roots of S_n as eigenvalues of
+the companion matrix (``np.roots``) polished by one Newton step.
 """
 
 import json
@@ -112,3 +113,16 @@ def abel_kernel(phi):
         n = np.arange(1, math.ceil(52.0 / eps) + 9, dtype=np.float64)
         sums.append(complex(np.sum(np.sqrt(n) * np.exp(n * complex(math.log1p(-eps), phi)))))
     return neville_at_zero(grid, sums)
+
+
+def companion_roots(n):
+    """All roots of S_n(z) = sum_{k=1}^{n} sqrt(k) z^k.
+
+    Eigenvalues of the companion matrix, then one Newton step each.
+    """
+    coeffs = np.concatenate([np.sqrt(np.arange(n, 0, -1, dtype=np.float64)), [0.0]])
+    roots = np.roots(coeffs).astype(np.complex128)
+    slopes = np.polyval(coeffs[:-1] * np.arange(n, 0, -1), roots)
+    safe = slopes != 0
+    roots[safe] -= np.polyval(coeffs, roots[safe]) / slopes[safe]
+    return roots

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledual import ConvergenceError, ZeroFindingError, cli, dynamics
+from circledual import ConvergenceError, ZeroFindingError, auxfun, cli, dynamics
 from circledual.cli import _fail, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -422,6 +422,19 @@ def test_error_report_keeps_diagnostics(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["diagnostics"] == diagnostics
     assert "best_estimate" not in report
+
+
+def test_zeros_failure_reports_diagnostics_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(auxfun, "_ABERTH_SWEEPS", 1)
+    out = tmp_path / "zeros.json"
+    assert main(["zeros", "--n", "64", "--out", str(out)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ZeroFindingError"
+    diagnostics = report["diagnostics"]
+    assert diagnostics["degree"] == 64 and diagnostics["sweeps"] == 1
+    assert diagnostics["unconverged"] > 0
+    assert {"worst_step", "disk_gap"} <= diagnostics.keys()
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -10,7 +10,9 @@ from circledual import (
     DimensionError,
     DomainError,
     PoleError,
+    ZeroFindingError,
     ZeroSet,
+    auxfun,
     map_to_y,
     map_to_z,
     sqrt_series,
@@ -18,7 +20,7 @@ from circledual import (
     sqrt_series_sheet2,
     sqrt_series_zeros,
 )
-from oracles import neville_at_zero
+from oracles import companion_roots, neville_at_zero
 
 ROUND_TRIP_TOL = 1e-12
 
@@ -248,6 +250,62 @@ def test_nonzero_roots_lie_in_the_enestrom_kakeya_annulus(degree):
     assert nonzero.size == degree - 1
     assert nonzero.min() >= math.sqrt(0.5) * (1.0 - 1e-12)
     assert nonzero.max() <= math.sqrt((degree - 1) / degree) * (1.0 + 1e-12)
+
+
+def _zero_set_faults(degree, roots):
+    """What a returned root set of S_degree gets wrong, checked with numpy's Horner."""
+    faults = []
+    coeffs = np.sqrt(np.arange(degree, 0, -1, dtype=np.float64))  # S_n / z, highest first
+    worst = np.max(np.abs(np.polyval(np.append(coeffs, 0.0), roots)))
+    if not worst <= 1e-8 * math.sqrt(degree):
+        faults.append(f"residual {worst:.2e}")
+    if not np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj())):
+        faults.append("not closed under conjugation")
+    real = roots.imag == 0
+    nearly_real = np.abs(roots.imag) < 1e-8
+    if np.count_nonzero(real) != 1 + (degree - 1) % 2 or np.any(nearly_real & ~real):
+        faults.append("real roots not exactly real")
+    # inclusion disks |z - r| <= m |q(r)/q'(r)| of the nonzero roots, 0 as a disk of radius 0
+    nonzero = roots[roots != 0]
+    slopes = np.polyval(np.polyder(coeffs), nonzero)
+    radii = (degree - 1) * np.abs(np.polyval(coeffs, nonzero) / slopes)
+    centers, spans = np.append(nonzero, 0.0), np.append(radii, 0.0)
+    gaps = np.abs(centers[:, None] - centers) - spans[:, None] - spans
+    np.fill_diagonal(gaps, np.inf)
+    if roots.size != degree or nonzero.size != degree - 1 or not np.min(gaps) > 0:
+        faults.append(f"inclusion disks overlap (smallest gap {np.min(gaps):.2e})")
+    return faults
+
+
+def test_zeros_hold_every_check_at_every_accepted_degree():
+    """Every degree the CLI accepts: residual <= 1e-8 * max coefficient,
+    disjoint inclusion disks, exact conjugate pairs, exactly real real roots."""
+    faults = {}
+    for degree in range(1, auxfun.MAX_ZERO_DEGREE + 1):
+        found = _zero_set_faults(degree, sqrt_series_zeros(degree).roots)
+        if found:
+            faults[degree] = found
+    assert not faults
+
+
+@pytest.mark.parametrize("degree", sorted({*range(1, 513, 32), 2, 255, 256, 511, 512}))
+def test_zeros_match_the_companion_oracle(degree):
+    roots = sqrt_series_zeros(degree).roots
+    oracle = companion_roots(degree)
+    distance = np.abs(roots[:, None] - oracle[None, :])
+    assert np.max(np.min(distance, axis=1)) <= 1e-13
+    assert np.max(np.min(distance, axis=0)) <= 1e-13
+
+
+def test_zeros_report_a_failed_iteration(monkeypatch):
+    monkeypatch.setattr(auxfun, "_ABERTH_SWEEPS", 1)
+    with pytest.raises(ZeroFindingError) as excinfo:
+        sqrt_series_zeros(64)
+    diagnostics = excinfo.value.diagnostics
+    assert diagnostics["degree"] == 64 and diagnostics["sweeps"] == 1
+    assert 0 < diagnostics["unconverged"] <= 32
+    assert diagnostics["worst_step"] > 0
+    assert {"disk_gap", "residual", "bound"} <= diagnostics.keys()
 
 
 def test_more_roots_hug_the_circle_as_degree_grows():
