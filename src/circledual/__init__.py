@@ -30,12 +30,12 @@ from .auxfun import (
 from .dynamics import (
     AngleDistribution,
     CirclePhase,
+    EvolveReport,
     born_distribution,
-    duality_deviation,
     duality_deviations,
     evolve_classical,
     evolve_quantum,
-    offgrid_deviation,
+    evolve_report,
     transport_distribution,
     transport_steps,
 )
@@ -71,9 +71,9 @@ from .hilbert import (
 from .operators import (
     OperatorMatrix,
     build_hamiltonian,
-    build_ladder,
-    build_position_momentum,
     commutator,
+    compare_matrix_elements,
     conjugate_to_ontological,
+    level_matrix,
     ontological_matrix,
 )

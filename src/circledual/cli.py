@@ -6,12 +6,16 @@ zeros, map-domains, f-curve, evolve.  Each writes a CSV or JSON artifact
 JSON error report on any invariant violation, 2 on unusable flags.  Output
 is byte-identical across runs for identical flags and seed; pass
 --timestamp to stamp artifacts at the cost of that identity.
+
+The handlers parse flags, call the library and serialise its results:
+``matrix-elements`` calls ``operators.compare_matrix_elements`` and
+``evolve`` calls ``dynamics.evolve_report``.  The module imports no private
+library name.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -30,14 +34,7 @@ from .auxfun import (
     sqrt_series_sheet2,
     sqrt_series_zeros,
 )
-from .dynamics import (
-    _steps_at_time,
-    _time_at_step,
-    born_distribution,
-    duality_deviations,
-    evolve_quantum,
-    transport_steps,
-)
+from .dynamics import duality_deviations, evolve_report
 from .errors import CircleDualError, ConvergenceError, ZeroFindingError
 from .figdata import (
     FigureData,
@@ -49,21 +46,8 @@ from .figdata import (
     make_metadata,
     write_figure,
 )
-from .hilbert import (
-    Basis,
-    check_dense_size,
-    energy_state,
-    ontological_state,
-    random_state,
-    to_energy,
-)
-from .operators import (
-    _DEFECT_BLOCK_ENTRIES,
-    build_ladder,
-    build_position_momentum,
-    conjugate_to_ontological,
-    ontological_matrix,
-)
+from .hilbert import check_dense_size, energy_state, ontological_state, random_state
+from .operators import compare_matrix_elements
 
 DUALITY_TOL = 1e-10
 ELEMENT_TOL = 1e-10
@@ -269,7 +253,7 @@ def _cmd_duality_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     states = np.array([random_state(args.n, rng).amplitudes for _ in range(args.trials)])
     ks = np.arange(2 * args.n + 1)
-    per_k = duality_deviations(states, ks, args.omega)
+    per_k = duality_deviations(states, ks)
     overall = float(per_k.max())
     fig = FigureData(
         columns={"k": ks, "max_deviation": per_k},
@@ -304,33 +288,14 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _level_operator(kind: str, n: int):
-    """The level-basis a, adag, x or p, building only the pair it belongs to."""
-    if kind in ("a", "adag"):
-        a, adag = build_ladder(n)
-        return a if kind == "a" else adag
-    x, p = build_position_momentum(n)
-    return x if kind == "x" else p
-
-
 def _cmd_matrix_elements(args) -> int:
     kinds = ("a", "adag", "x", "p") if args.which == "all" else (args.which,)
     elements: dict[str, np.ndarray] = {}
     deviations = {}
-    step = max(1, _DEFECT_BLOCK_ENTRIES // args.n)
     for kind in kinds:
-        # the conjugation first, so the closed form is not alive while the
-        # level-basis operators are built, and the gap over row blocks, so
-        # no N x N difference or modulus exists
-        conjugated = conjugate_to_ontological(_level_operator(kind, args.n)).entries
-        closed = ontological_matrix(kind, args.n).entries
-        deviations[f"max_deviation_{kind}"] = max(
-            float(np.max(np.abs(closed[i : i + step] - conjugated[i : i + step])))
-            for i in range(0, args.n, step)
-        )
-        del conjugated
-        elements[f"re_{kind}"] = closed.real.ravel()
-        elements[f"im_{kind}"] = closed.imag.ravel()
+        closed, deviations[f"max_deviation_{kind}"] = compare_matrix_elements(kind, args.n)
+        elements[f"re_{kind}"] = closed.entries.real.ravel()
+        elements[f"im_{kind}"] = closed.entries.imag.ravel()
         del closed
     # the site columns, two N^2 integer arrays, only once the operators are gone
     sites = np.arange(args.n)
@@ -483,19 +448,8 @@ def _parse_initial_state(spec: str, n: int, seed: int):
 
 
 def _cmd_evolve(args) -> int:
-    if (args.steps is None) == (args.time is None):
-        raise CircleDualError("give exactly one of --steps or --time")
     state = _parse_initial_state(args.state, args.n, args.seed)
-    energy = state if state.basis is Basis.ENERGY else to_energy(state)
-    on_grid = args.steps is not None
-    t = _time_at_step(args.steps, args.n, args.omega) if on_grid else args.time
-    # both modes compare against a rigid rotation: --time against the nearest
-    # one (the rule of offgrid_deviation), with each distribution taken once
-    initial = born_distribution(energy)
-    quantum = born_distribution(evolve_quantum(energy, t, args.omega))
-    k = args.steps if on_grid else round(_steps_at_time(t, args.n, args.omega)) % args.n
-    transported = transport_steps(initial, k)
-    deviation = float(np.max(np.abs(quantum.weights - transported.weights)))
+    report = evolve_report(state, args.omega, steps=args.steps, time=args.time)
     params = {
         "n": args.n,
         "omega": args.omega,
@@ -504,14 +458,16 @@ def _cmd_evolve(args) -> int:
     }
     columns = {
         "site": np.arange(args.n),
-        "weight_initial": initial.weights,
-        "weight_quantum": quantum.weights,
+        "weight_initial": report.initial.weights,
+        "weight_quantum": report.quantum.weights,
     }
-    if on_grid:
-        params.update({"steps": args.steps, "time": t, "deviation": deviation})
-        columns["weight_transport"] = transported.weights
+    if args.steps is not None:
+        params.update(steps=args.steps, time=report.time, deviation=report.deviation)
+        columns["weight_transport"] = report.transported.weights
     else:
-        params.update({"time": t, "nearest_k": k, "deviation_from_nearest_rotation": deviation})
+        params.update(
+            time=report.time, nearest_k=report.k, deviation_from_nearest_rotation=report.deviation
+        )
     fig = FigureData(columns=columns, metadata=make_metadata("evolve", params, args.timestamp))
     write_figure(fig, args.out, args.format)
     return 0

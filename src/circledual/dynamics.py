@@ -8,25 +8,26 @@ so any Born distribution over the sites is transported rigidly:
 
     born(evolve_quantum(psi, t)) == rotate_by_k(born(psi))      (exactly)
 
-``duality_deviations`` measures the max-norm gap between the two routes for
-a batch of states at once: the initial site weights come from one row-wise
-FFT, and each k costs one more (states x N) FFT of the evolved batch.
-``duality_deviation`` is the same check for one state and one k.  The
+At step k level n gains the phase exp(-2j*pi*((n*k) mod N)/N), exact for
+every integer k.  ``duality_deviations`` measures the max-norm gap between
+the two routes for a batch of states, one (states x N) FFT per k; the
 contract is <= 1e-10 for every normalized state and every integer k.
-Between grid times the site-to-site transport is not defined at finite N;
-``offgrid_deviation`` reports how far the evolved distribution is from the
-nearest rigid rotation instead of interpolating.
+``evolve_report`` runs one state to a step k or to any time t.  Between
+grid times site transport is not defined at finite N, so it reports the
+gap to the nearest rigid rotation instead of interpolating.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BasisError, DimensionError, DomainError, NormalizationError, StroboscopicError
-from .hilbert import Basis, StateVector, check_dense_size, to_sites
+from .hilbert import Basis, StateVector, check_dense_size, to_energy, to_sites
 
 _TAU = 2.0 * math.pi
 
@@ -71,8 +72,14 @@ class AngleDistribution:
 
 
 def _time_at_step(k, dim: int, omega: float) -> float:
-    """The stroboscopic time t = 2*pi*k/(N*omega) of step k."""
-    return _TAU * k / (dim * omega)
+    """The stroboscopic time t = 2*pi*k/(N*omega) of step k, as a finite float."""
+    try:
+        t = _TAU * k / (dim * omega)
+    except (OverflowError, ZeroDivisionError):
+        t = math.inf
+    if not math.isfinite(t):
+        raise DomainError(f"time 2*pi*k/(N*omega) is not a finite float at omega = {omega}")
+    return t
 
 
 def _steps_at_time(t: float, dim: int, omega: float) -> float:
@@ -93,6 +100,12 @@ def _phases(dim: int, t: float, omega: float) -> np.ndarray:
     if not math.isfinite(dim * omega * t):
         raise DomainError(f"phase N*omega*t must be finite, got t = {t}, omega = {omega}")
     return np.exp(-1j * np.arange(dim) * omega * t)
+
+
+def _step_phases(dim: int, k) -> np.ndarray:
+    """exp(-1j*n*omega*t) at t = 2*pi*k/(N*omega), from exact integer phase indices."""
+    n = np.arange(dim)
+    return np.exp(-2j * np.pi * ((n * (int(k) % dim)) % dim) / dim)
 
 
 def evolve_quantum(state: StateVector, t: float, omega: float = 1.0) -> StateVector:
@@ -154,13 +167,13 @@ def transport_distribution(
     return transport_steps(rho, k)
 
 
-def duality_deviations(amplitudes, ks, omega: float = 1.0) -> np.ndarray:
+def duality_deviations(amplitudes, ks) -> np.ndarray:
     """Per-k max-norm gap between quantum-evolved and transported weights.
 
     ``amplitudes`` is a (states x N) array of normalized energy-basis
-    states.  For each k in ``ks`` every state is evolved to
-    t = 2*pi*k/(N*omega), and its Born distribution is compared against
-    the k-site rotation of its initial one; entry i of the result is the
+    states.  For each integer k in ``ks`` every state is evolved by k
+    stroboscopic steps, and its Born distribution is compared against the
+    k-site rotation of its initial one; entry i of the result is the
     largest gap over all states at ks[i].
     """
     amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -172,30 +185,42 @@ def duality_deviations(amplitudes, ks, omega: float = 1.0) -> np.ndarray:
     initial = _site_weights(to_sites(amps))
     out = np.empty(len(ks))
     for i, k in enumerate(ks):
-        t = _time_at_step(k, dim, omega)
-        quantum = _site_weights(to_sites(_phases(dim, t, omega) * amps))
-        out[i] = np.max(np.abs(quantum - np.roll(initial, int(k), axis=1)))
+        quantum = _site_weights(to_sites(_step_phases(dim, k) * amps))
+        out[i] = np.max(np.abs(quantum - np.roll(initial, int(k) % dim, axis=1)))
     return out
 
 
-def duality_deviation(state: StateVector, k: int, omega: float = 1.0) -> float:
-    """Max-norm gap between quantum-evolved and classically transported weights.
+class EvolveReport(NamedTuple):
+    """One evolved state against the rigid rotation of its initial weights."""
 
-    Evolves the state to t = 2*pi*k/(N*omega) and compares the Born
-    distribution against the k-site rotation of the initial one.
+    time: float
+    k: int  # the step count, or the nearest rotation mod N for an off-grid time
+    initial: AngleDistribution
+    quantum: AngleDistribution
+    transported: AngleDistribution
+    deviation: float  # max |quantum - transported|
+
+
+def evolve_report(state: StateVector, omega: float, *, steps=None, time=None) -> EvolveReport:
+    """Evolve a state by ``steps`` stroboscopic steps or to ``time``, and compare.
+
+    Give exactly one of the two.  A step count k is evolved with the exact
+    stroboscopic phases and compared with the k-site rotation; an arbitrary
+    time, which transport does not define, is compared with the nearest
+    rotation.  Each Born distribution is taken once.
     """
-    if state.basis is not Basis.ENERGY:
-        raise BasisError(f"quantum evolution needs an energy-basis state, got {state.basis}")
-    return float(duality_deviations(state.amplitudes[None, :], [k], omega)[0])
-
-
-def offgrid_deviation(state: StateVector, t: float, omega: float = 1.0) -> tuple[int, float]:
-    """Distance of the evolved distribution from the nearest site rotation.
-
-    Returns (k_nearest, max-norm deviation).  This measures, rather than
-    defines, transport at times off the stroboscopic grid.
-    """
-    k = round(_steps_at_time(t, state.dim, omega)) % state.dim
-    quantum = born_distribution(evolve_quantum(state, t, omega))
-    classical = transport_steps(born_distribution(state), k)
-    return int(k), float(np.max(np.abs(quantum.weights - classical.weights)))
+    if (steps is None) == (time is None):
+        raise DomainError("give exactly one of steps or time")
+    energy = state if state.basis is Basis.ENERGY else to_energy(state)
+    if steps is not None:
+        k = operator.index(steps)
+        time = _time_at_step(k, energy.dim, omega)
+        evolved = StateVector(Basis.ENERGY, _step_phases(energy.dim, k) * energy.amplitudes)
+    else:
+        evolved = evolve_quantum(energy, time, omega)  # refuses a phase that is not finite
+        k = round(_steps_at_time(time, energy.dim, omega)) % energy.dim
+    initial = born_distribution(energy)
+    quantum = born_distribution(evolved)
+    transported = transport_steps(initial, k)
+    deviation = float(np.max(np.abs(quantum.weights - transported.weights)))
+    return EvolveReport(time, k, initial, quantum, transported, deviation)

@@ -1,4 +1,4 @@
-"""Truncated oscillator operators and their circle-site representations.
+"""Truncated oscillator operators in both bases, and the check that ties them.
 
 All operators act on the N lowest oscillator levels (hbar = 1).  The
 truncation forces a highest level, so the canonical commutators pick up an
@@ -14,14 +14,14 @@ S_{N-1}(z) = sum_{n=1}^{N-1} sqrt(n) z^n,
 
 The kernel depends only on (s1 - s2) mod N, and its N values
 S_{N-1}(e^{2j*pi*d/N}) / N are exactly the inverse DFT of sqrt(0..N-1).
-``ontological_matrix`` is the primary route: it builds a from that FFT
-kernel and takes a^dag = a^H, x = (a + a^dag)/sqrt(2) and
+``ontological_matrix`` builds a from that FFT kernel, ``level_matrix`` from
+a|n> = sqrt(n)|n-1>; both take a^dag = a^H, x = (a + a^dag)/sqrt(2) and
 p = 1j*(a^dag - a)/sqrt(2) from it, so x and p are hermitian by
 construction.  ``conjugate_to_ontological`` is the one independent
-cross-check: it carries the level-basis matrix across the basis change,
-U M U^dag, by FFTs over its rows and columns (O(N^2 log N), no dense U).
-Every dense constructor checks its N x N size against
-``hilbert.DENSE_ENTRY_CEILING`` first.
+cross-check, U M U^dag by FFTs over rows and columns (no dense U), and
+``compare_matrix_elements`` applies it to one kind.  Every dense
+constructor checks its N x N size against ``hilbert.DENSE_ENTRY_CEILING``
+first.
 """
 
 from __future__ import annotations
@@ -69,22 +69,14 @@ class OperatorMatrix:
     def hermiticity_defect(self) -> float:
         """max |M - M^H|, over row blocks so the temporaries stay small."""
         m = self.entries
-        step = max(1, _DEFECT_BLOCK_ENTRIES // m.shape[0])
-        return max(
-            float(np.max(np.abs(m[i : i + step] - m[:, i : i + step].T.conj())))
-            for i in range(0, m.shape[0], step)
-        )
+        return _max_over_row_blocks(m.shape[0], lambda rows: m[rows] - m.T[rows].conj())
 
 
-def build_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Lowering and raising operators: a|n> = sqrt(n)|n-1> on dim levels."""
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
-    check_dense_size(dim, dim, "the operator")
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
-    return (
-        OperatorMatrix(Basis.ENERGY, a),
-        OperatorMatrix(Basis.ENERGY, a.conj().T),
+def _max_over_row_blocks(dim: int, block_gap) -> float:
+    """max |block_gap(rows)| over row slices, one block of the gap at a time."""
+    step = max(1, _DEFECT_BLOCK_ENTRIES // dim)
+    return max(
+        float(np.max(np.abs(block_gap(slice(i, i + step))))) for i in range(0, dim, step)
     )
 
 
@@ -103,13 +95,36 @@ def _hermitian_part(a: np.ndarray, which: str) -> np.ndarray:
     return np.divide(out, math.sqrt(2.0), out=out)
 
 
-def build_position_momentum(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Level-basis x = (a + a^dag)/sqrt(2) and p = 1j*(a^dag - a)/sqrt(2)."""
-    a = build_ladder(dim)[0]  # a^dag would stay alive while x and p are built
-    return tuple(
-        OperatorMatrix(Basis.ENERGY, _hermitian_part(a.entries, which), hermitian=True)
-        for which in "xp"
-    )
+def _from_lowering(which: str, dim: int, basis: Basis, lowering) -> OperatorMatrix:
+    """a, adag, x or p in basis from ``lowering(dim)``, checked before allocating.
+
+    a is released before the result is copied, so two dense arrays are live at most.
+    """
+    if which not in _ELEMENT_KINDS:
+        raise DomainError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
+    if dim < 1:
+        raise DimensionError(f"dim must be >= 1, got {dim}")
+    check_dense_size(dim, dim, "the operator")
+    a = lowering(dim)
+    if which == "a":
+        return OperatorMatrix(basis, a)
+    hermitian = which != "adag"
+    out = _hermitian_part(a, which) if hermitian else np.conjugate(a.T)
+    del a
+    return OperatorMatrix(basis, out, hermitian=hermitian)
+
+
+def _level_lowering(dim: int) -> np.ndarray:
+    """a on the levels: a|n> = sqrt(n)|n-1>."""
+    a = np.zeros((dim, dim), dtype=np.complex128)
+    rows = np.arange(dim - 1)
+    a[rows, rows + 1] = np.sqrt(np.arange(1, dim, dtype=np.float64))
+    return a
+
+
+def level_matrix(which: str, dim: int) -> OperatorMatrix:
+    """Energy-basis matrix of a, adag, x or p.  Only the requested kind is built."""
+    return _from_lowering(which, dim, Basis.ENERGY, _level_lowering)
 
 
 def build_hamiltonian(dim: int, omega: float = 1.0) -> OperatorMatrix:
@@ -146,23 +161,21 @@ def _site_lowering(dim: int) -> np.ndarray:
 
 
 def ontological_matrix(which: str, dim: int) -> OperatorMatrix:
-    """Full circle-site matrix of a, adag, x or p from the FFT kernel.
+    """Circle-site matrix of a, adag, x or p.  Only the requested kind is built."""
+    return _from_lowering(which, dim, Basis.ONTOLOGICAL, _site_lowering)
 
-    Only the requested kind is built: at most two dense N x N arrays are
-    live at once.
+
+def compare_matrix_elements(which: str, dim: int) -> tuple[OperatorMatrix, float]:
+    """The closed-form circle-site matrix and its max entrywise gap to U M U^dag.
+
+    The conjugation of the level-basis matrix is built first, so the closed
+    form is not alive while the level-basis operator is, and the gap is
+    taken over row blocks, so no N x N difference or modulus exists.
     """
-    if which not in _ELEMENT_KINDS:
-        raise DomainError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
-    check_dense_size(dim, dim, "the operator")
-    if which == "a":
-        return OperatorMatrix(Basis.ONTOLOGICAL, _site_lowering(dim))
-    if which == "adag":
-        return OperatorMatrix(Basis.ONTOLOGICAL, np.conjugate(_site_lowering(dim).T))
-    return OperatorMatrix(
-        Basis.ONTOLOGICAL, _hermitian_part(_site_lowering(dim), which), hermitian=True
-    )
+    conjugated = conjugate_to_ontological(level_matrix(which, dim)).entries
+    closed = ontological_matrix(which, dim)
+    gap = _max_over_row_blocks(dim, lambda rows: closed.entries[rows] - conjugated[rows])
+    return closed, gap
 
 
 def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:

@@ -15,11 +15,10 @@ import numpy as np
 
 from circledual import (
     build_hamiltonian,
-    build_ladder,
-    build_position_momentum,
     commutator,
     conjugate_to_ontological,
     duality_deviations,
+    level_matrix,
     li_three_halves_circle,
     map_to_y,
     map_to_z,
@@ -41,13 +40,6 @@ def report(number, label, passed, detail):
     verdict = "PASS" if passed else "FAIL"
     print(f"[acceptance] criterion {number:2d} ({label}): {verdict} — {detail}")
     assert passed, f"criterion {number} failed: {detail}"
-
-
-def level_operator(kind, n):
-    """The level-basis a, adag, x or p."""
-    if kind in ("a", "adag"):
-        return build_ladder(n)[("a", "adag").index(kind)]
-    return build_position_momentum(n)[("x", "p").index(kind)]
 
 
 def test_criterion_01_unitarity():
@@ -102,7 +94,7 @@ def test_criterion_04_closed_form_elements():
     worst = 0.0
     for n, kind in cases + [(4096, "a")]:
         closed = ontological_matrix(kind, n).entries
-        conjugated = conjugate_to_ontological(level_operator(kind, n)).entries
+        conjugated = conjugate_to_ontological(level_matrix(kind, n)).entries
         worst = max(worst, float(np.max(np.abs(closed - conjugated))))
         del closed, conjugated
     report(
@@ -116,9 +108,8 @@ def test_criterion_04_closed_form_elements():
 def test_criterion_05_hermiticity_and_reality():
     worst_defect = 0.0
     for n in (2, 3, 11, 64, 128, 256, 1024, 2048):
-        x, p = build_position_momentum(n)
-        for op in (x, p):
-            site = conjugate_to_ontological(op)
+        for kind in ("x", "p"):
+            site = conjugate_to_ontological(level_matrix(kind, n))
             worst_defect = max(worst_defect, site.hermiticity_defect())
     # the closed-form x and p are hermitian by construction at every size
     for n in (384, 1024, 2048):
@@ -143,8 +134,7 @@ def test_criterion_05_hermiticity_and_reality():
 def test_criterion_06_truncation_commutator():
     worst = 0.0
     for n in (2, 4, 64):
-        x, p = build_position_momentum(n)
-        defect = commutator(x, p).entries
+        defect = commutator(level_matrix("x", n), level_matrix("p", n)).entries
         expected = 1j * np.eye(n)
         expected[n - 1, n - 1] = 1j * (1.0 - n)
         worst = max(worst, float(np.max(np.abs(defect - expected))))

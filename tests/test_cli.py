@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledual import ConvergenceError, ZeroFindingError, auxfun, cli, dynamics
+from circledual import ConvergenceError, ZeroFindingError, auxfun, cli, dynamics, operators
 from circledual.cli import _fail, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -132,10 +133,10 @@ def test_matrix_elements_artifact(tmp_path):
 
 @pytest.mark.parametrize("kind", ["a", "adag"])
 def test_matrix_elements_builds_only_the_requested_kind(tmp_path, monkeypatch, kind):
-    def refuse(n):
-        raise AssertionError("x and p were built for a ladder operator")
+    def refuse(a, which):
+        raise AssertionError("x or p was built for a ladder operator")
 
-    monkeypatch.setattr(cli, "build_position_momentum", refuse)
+    monkeypatch.setattr(operators, "_hermitian_part", refuse)
     out = tmp_path / "elements.csv"
     assert main(["matrix-elements", "--n", "16", "--which", kind, "--out", str(out)]) == 0
 
@@ -167,8 +168,23 @@ def test_evolve_offgrid_reports_deviation(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     params = payload["metadata"]["parameters"]
-    assert "deviation_from_nearest_rotation" in params
     assert "weight_transport" not in payload["columns"]
+    # the reported gap is the one to the nearest rotation of the written weights
+    columns = {name: np.array(values) for name, values in payload["columns"].items()}
+    nearest = np.roll(columns["weight_initial"], params["nearest_k"])
+    gap = np.max(np.abs(columns["weight_quantum"] - nearest))
+    assert params["nearest_k"] == round(0.3 * 8 / (2 * math.pi)) % 8
+    assert params["deviation_from_nearest_rotation"] == gap
+
+
+def test_evolve_at_a_billion_steps_keeps_the_contract(tmp_path):
+    """The step phases come from integers, not from a float time."""
+    out = tmp_path / "evolve.json"
+    argv = ["evolve", "--n", "64", "--steps", "1000000000", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    params = json.loads(out.read_text(encoding="utf-8"))["metadata"]["parameters"]
+    assert params["steps"] == 10**9
+    assert params["deviation"] <= 1e-10
 
 
 def test_evolve_time_takes_each_distribution_once(tmp_path, monkeypatch):
@@ -182,11 +198,25 @@ def test_evolve_time_takes_each_distribution_once(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, name, counting)
-        monkeypatch.setattr(cli, name, counting)
     argv = ["evolve", "--n", "8", "--state", "random", "--time", "0.3",
             "--out", str(tmp_path / "evolve.csv")]
     assert main(argv) == 0
     assert counts == {"born_distribution": 2, "evolve_quantum": 1}
+
+
+def test_cli_imports_no_private_library_name():
+    """The handlers only parse and serialise: nothing private is reached for."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "circledual")
+        for alias in node.names
+        if alias.name.startswith("_")
+        and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    ]
+    assert private == []
 
 
 def test_auxfun_eval_f_and_g(tmp_path):

@@ -16,12 +16,11 @@ from circledual import (
     StroboscopicError,
     born_distribution,
     DomainError,
-    duality_deviation,
     duality_deviations,
     energy_state,
     evolve_classical,
     evolve_quantum,
-    offgrid_deviation,
+    evolve_report,
     ontological_state,
     random_state,
     to_ontological,
@@ -219,48 +218,93 @@ def test_site_states_never_deviate():
     for s in (0, 7):
         energy = to_energy(ontological_state(s, n))
         for k in (0, 1, 9, 2 * n):
-            assert duality_deviation(energy, k) <= 1e-12
+            assert evolve_report(energy, 1.0, steps=k).deviation <= 1e-12
+    # a site state is converted to the energy basis by the report itself
+    report = evolve_report(ontological_state(7, n), 1.0, steps=9)
+    assert report.deviation <= 1e-12 and report.k == 9
+    assert report.transported.weights[(7 + 9) % n] == 1.0
 
 
 def test_energy_eigenstates_never_deviate():
     n = 11
     for level in (0, 4, 10):
         for k in (0, 3, 17):
-            assert duality_deviation(energy_state(level, n), k) <= 1e-12
+            assert evolve_report(energy_state(level, n), 1.0, steps=k).deviation <= 1e-12
 
 
 def test_random_state_theorem_at_n64():
     state = random_state(64, np.random.default_rng(17))
-    assert duality_deviation(state, 17) <= 1e-10
+    assert evolve_report(state, 1.0, steps=17).deviation <= 1e-10
 
 
 def test_deviation_with_omega():
     n = 8
     omega = 0.75
     state = random_state(n, np.random.default_rng(9))
-    assert duality_deviation(state, 5, omega=omega) <= 1e-10
+    report = evolve_report(state, omega, steps=5)
+    assert report.deviation <= 1e-10
+    assert report.time == pytest.approx(TAU * 5 / (n * omega), rel=1e-15)
 
 
 def test_offgrid_report():
     n = 8
     state = random_state(n, np.random.default_rng(10))
-    k, dev = offgrid_deviation(state, TAU * 3 / n)
-    assert k == 3 and dev <= 1e-10
-    k_off, dev_off = offgrid_deviation(state, TAU * (3.5) / n)
-    assert k_off in (3, 4)
-    assert dev_off >= 0.0
+    on_grid = evolve_report(state, 1.0, time=TAU * 3 / n)
+    assert on_grid.k == 3 and on_grid.deviation <= 1e-10
+    off_grid = evolve_report(state, 1.0, time=TAU * (3.5) / n)
+    assert off_grid.k in (3, 4)
+    assert off_grid.deviation >= 0.0
+    # the deviation is the gap to the nearest rotation of the initial weights
+    nearest = np.roll(off_grid.initial.weights, off_grid.k)
+    assert off_grid.deviation == np.max(np.abs(off_grid.quantum.weights - nearest))
+    assert np.array_equal(off_grid.transported.weights, nearest)
 
 
-@pytest.mark.parametrize("n, omega", [(1, 1.0), (2, 1.0), (11, 0.75), (64, 1.9)])
+@pytest.mark.parametrize(
+    "n, omega", [(1, 1.0), (2, 1.0), (11, 0.75), (64, 1.9), (257, 1.0), (1000, 1.0)]
+)
 def test_batch_equals_per_state_loop(n, omega):
-    """The batch runs the per-row arithmetic of duality_deviation unchanged."""
+    """The batch runs the per-state arithmetic of evolve_report unchanged."""
     rng = np.random.default_rng(n)
     states = [random_state(n, rng) for _ in range(7)]
     ks = [0, 1, 5, -3, 2 * n + 1]
-    batch = duality_deviations(np.array([s.amplitudes for s in states]), ks, omega)
-    loop = [max(duality_deviation(s, k, omega) for s in states) for k in ks]
+    batch = duality_deviations(np.array([s.amplitudes for s in states]), ks)
+    loop = [max(evolve_report(s, omega, steps=k).deviation for s in states) for k in ks]
     assert batch.tolist() == loop
     assert np.max(batch) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_step_phases_are_exact_at_any_step_count(n):
+    """Step k evolves exactly as step k mod N: no float time enters the phases."""
+    states = np.array([random_state(n, np.random.default_rng(n + i)).amplitudes for i in range(5)])
+    huge = [10**7, 10**9, 10**18, 10**23 + 3, -(10**18) - 1]
+    at_huge = duality_deviations(states, huge)
+    at_reduced = duality_deviations(states, [k % n for k in huge])
+    assert at_huge.tolist() == at_reduced.tolist()
+    assert np.max(at_huge) <= 1e-15
+    report = evolve_report(random_state(n, np.random.default_rng(0)), 1.0, steps=10**23 + 3)
+    assert report.deviation <= 1e-15
+    assert report.time == TAU * (10**23 + 3) / n
+
+
+def test_evolve_report_validation():
+    state = random_state(4, np.random.default_rng(0))
+    with pytest.raises(DomainError):
+        evolve_report(state, 1.0)
+    with pytest.raises(DomainError):
+        evolve_report(state, 1.0, steps=1, time=0.5)
+    with pytest.raises(DomainError):
+        evolve_report(state, 0.0, steps=1)
+    # a step count whose time is not a finite float, and a time whose phase is not
+    with pytest.raises(DomainError):
+        evolve_report(state, 1.0, steps=10**400)
+    with pytest.raises(DomainError):
+        evolve_report(state, 1e-320, steps=1)
+    with pytest.raises(DomainError):
+        evolve_report(state, 1.0, time=1e308)
+    with pytest.raises(TypeError):
+        evolve_report(state, 1.0, steps=2.5)
 
 
 def test_batch_validation():
@@ -269,10 +313,6 @@ def test_batch_validation():
         duality_deviations(good, [1])
     with pytest.raises(NormalizationError):
         duality_deviations(np.array([good, 2.0 * good]), [1])
-    with pytest.raises(DomainError):
-        duality_deviations(good[None, :], [1], omega=1e-320)
-    with pytest.raises(BasisError):
-        duality_deviation(ontological_state(0, 4), 1)
     # a broadcast view allocates nothing; its size is refused before any work
     huge = np.broadcast_to(np.complex128(1.0), (100, 200_000))
     with pytest.raises(DimensionError, match="ceiling"):

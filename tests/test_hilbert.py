@@ -10,8 +10,8 @@ from circledual import (
     BasisError,
     DimensionError,
     StateVector,
-    build_ladder,
     energy_state,
+    level_matrix,
     ontological_matrix,
     ontological_state,
     random_state,
@@ -136,7 +136,7 @@ def test_dense_map_ceiling_checked_before_allocating():
         with pytest.raises(DimensionError, match="ceiling"):
             ontological_matrix("a", 4097)
         with pytest.raises(DimensionError, match="ceiling"):
-            build_ladder(4097)
+            level_matrix("a", 4097)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,10 +10,10 @@ from circledual import (
     DimensionError,
     OperatorMatrix,
     build_hamiltonian,
-    build_ladder,
-    build_position_momentum,
     commutator,
+    compare_matrix_elements,
     conjugate_to_ontological,
+    level_matrix,
     ontological_matrix,
 )
 from oracles import duality_matrix, site_operator_entries
@@ -22,27 +22,27 @@ AGREEMENT_TOL = 1e-10
 
 
 def test_ladder_dim2():
-    a, adag = build_ladder(2)
+    a, adag = level_matrix("a", 2), level_matrix("adag", 2)
     assert np.array_equal(a.entries, [[0.0, 1.0], [0.0, 0.0]])
     assert np.array_equal(adag.entries, [[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_ladder_dim3_superdiagonal():
-    a, _ = build_ladder(3)
+    a = level_matrix("a", 3)
     assert a.entries[0, 1] == 1.0
     assert abs(a.entries[1, 2] - math.sqrt(2.0)) < 1e-15
     assert np.count_nonzero(a.entries) == 2
 
 
 def test_ground_state_annihilated():
-    a, _ = build_ladder(5)
+    a = level_matrix("a", 5)
     ground = np.zeros(5, dtype=np.complex128)
     ground[0] = 1.0
     assert np.all(a.entries @ ground == 0.0)
 
 
 def test_position_momentum_dim2():
-    x, p = build_position_momentum(2)
+    x, p = level_matrix("x", 2), level_matrix("p", 2)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     assert np.max(np.abs(x.entries - inv_sqrt2 * np.array([[0, 1], [1, 0]]))) < 1e-15
     expected_p = inv_sqrt2 * np.array([[0, -1j], [1j, 0]])
@@ -50,7 +50,7 @@ def test_position_momentum_dim2():
 
 
 def test_hermiticity_large():
-    x, p = build_position_momentum(256)
+    x, p = level_matrix("x", 256), level_matrix("p", 256)
     assert x.hermiticity_defect() <= 1e-12
     assert p.hermiticity_defect() <= 1e-12
     # the closed form takes x and p from a and a^H: hermitian to the last bit
@@ -79,6 +79,24 @@ def test_site_position_momentum_peak_memory(kind):
     assert peak <= 4 * 1024 * 1024 * 16
 
 
+@pytest.mark.parametrize("kind", ["a", "adag", "x", "p"])
+def test_level_matrix_and_comparison_peak_memory(kind):
+    """At N = 1024 (16 MiB per dense complex array) a is freed before the copy.
+
+    One level-basis kind stays within 2.5 dense arrays, and its comparison
+    with the closed form, which holds the conjugation while the closed
+    form is built, within 3.5.
+    """
+    for build, arrays in ((level_matrix, 2.5), (compare_matrix_elements, 3.5)):
+        tracemalloc.start()
+        try:
+            build(kind, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 1024 * 1024 * 16, build.__name__
+
+
 def test_hamiltonian_values():
     h = build_hamiltonian(4)
     assert np.array_equal(np.diag(h.entries).real, [0.0, 1.0, 2.0, 3.0])
@@ -91,7 +109,11 @@ def test_config_validation():
     with pytest.raises(DimensionError):
         build_hamiltonian(0)
     # above the dense ceiling every N x N constructor refuses before allocating
-    for build in (build_hamiltonian, build_ladder, lambda n: ontological_matrix("x", n)):
+    for build in (
+        build_hamiltonian,
+        lambda n: level_matrix("a", n),
+        lambda n: ontological_matrix("x", n),
+    ):
         with pytest.raises(DimensionError, match="ceiling"):
             build(4097)
     with pytest.raises(ValueError):
@@ -125,21 +147,22 @@ def test_spectrum_preserved_by_conjugation():
 @pytest.mark.parametrize("kind", ["a", "adag", "x", "p"])
 @pytest.mark.parametrize("n", [2, 16, 64])
 def test_closed_form_matches_conjugation(kind, n):
-    a, adag = build_ladder(n)
-    x, p = build_position_momentum(n)
-    level_ops = {"a": a, "adag": adag, "x": x, "p": p}
     closed = ontological_matrix(kind, n).entries
-    conjugated = conjugate_to_ontological(level_ops[kind]).entries
-    assert np.max(np.abs(closed - conjugated)) <= AGREEMENT_TOL
+    conjugated = conjugate_to_ontological(level_matrix(kind, n)).entries
+    gap = float(np.max(np.abs(closed - conjugated)))
+    assert gap <= AGREEMENT_TOL
+    # the library's blockwise comparison gives the same closed form and gap
+    compared, compared_gap = compare_matrix_elements(kind, n)
+    assert np.array_equal(compared.entries, closed)
+    assert compared_gap == gap
 
 
 def test_fft_conjugation_matches_dense_map():
     """U M U^dag by FFT equals the product with the exp-formula U."""
     n = 256
     u = duality_matrix(n)
-    a, adag = build_ladder(n)
-    x, p = build_position_momentum(n)
-    for op in (a, adag, x, p, build_hamiltonian(n, omega=1.3)):
+    level_ops = [level_matrix(kind, n) for kind in ("a", "adag", "x", "p")]
+    for op in (*level_ops, build_hamiltonian(n, omega=1.3)):
         dense = u @ op.entries @ u.conj().T
         fft = conjugate_to_ontological(op)
         assert fft.basis is Basis.ONTOLOGICAL
@@ -157,20 +180,19 @@ def test_element_trivial_and_diagonal_cases():
 
 
 def test_element_index_validation():
-    with pytest.raises(ValueError):
-        ontological_matrix("b", 4)
+    for build in (ontological_matrix, level_matrix, compare_matrix_elements):
+        with pytest.raises(ValueError):
+            build("b", 4)
 
 
 def test_ladder_commutator_truncation():
-    a, adag = build_ladder(4)
-    defect = commutator(a, adag).entries
+    defect = commutator(level_matrix("a", 4), level_matrix("adag", 4)).entries
     assert np.max(np.abs(defect - np.diag([1.0, 1.0, 1.0, -3.0]))) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4, 64])
 def test_xp_commutator_is_i_with_top_level_defect(n):
-    x, p = build_position_momentum(n)
-    defect = commutator(x, p).entries
+    defect = commutator(level_matrix("x", n), level_matrix("p", n)).entries
     expected = 1j * np.eye(n)
     expected[n - 1, n - 1] = 1j * (1.0 - n)
     assert np.max(np.abs(defect - expected)) <= 1e-10
@@ -185,8 +207,7 @@ def test_anything_commutes_with_itself():
 
 
 def test_commutator_mismatch_errors():
-    a4, _ = build_ladder(4)
-    a5, _ = build_ladder(5)
+    a4, a5 = level_matrix("a", 4), level_matrix("a", 5)
     with pytest.raises(DimensionError):
         commutator(a4, a5)
     site_a = ontological_matrix("a", 4)
@@ -201,7 +222,7 @@ def test_heisenberg_flow_derivative():
     is excluded from the comparison.
     """
     n = 16
-    x, p = build_position_momentum(n)
+    x, p = level_matrix("x", n), level_matrix("p", n)
     levels = np.arange(n)
     step = 1e-4
 
@@ -216,7 +237,7 @@ def test_heisenberg_flow_derivative():
 
 def test_small_time_rotation_mixes_x_into_p():
     n = 24
-    x, p = build_position_momentum(n)
+    x, p = level_matrix("x", n), level_matrix("p", n)
     t = 1e-2
     levels = np.arange(n)
     phases = np.exp(1j * levels * t)
