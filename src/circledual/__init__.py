@@ -29,14 +29,11 @@ from .auxfun import (
 )
 from .dynamics import (
     AngleDistribution,
-    CirclePhase,
     EvolveReport,
     born_distribution,
     duality_deviations,
-    evolve_classical,
     evolve_quantum,
     evolve_report,
-    transport_distribution,
     transport_steps,
 )
 from .errors import (
@@ -48,7 +45,6 @@ from .errors import (
     NearSingularityError,
     NormalizationError,
     PoleError,
-    StroboscopicError,
     ZeroFindingError,
 )
 from .figdata import (

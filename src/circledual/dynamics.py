@@ -1,20 +1,24 @@
-"""Classical circle motion, quantum phase evolution, and the transport theorem.
+"""Quantum phase evolution, Born weights over the circle sites, and the transport theorem.
 
-A particle on the unit circle moves as phi(t) = phi(0) + omega*t mod 2*pi.
-The dual N-level system evolves each energy amplitude by exp(-1j*n*omega*t).
-At the stroboscopic times t = 2*pi*k/(N*omega) the quantum evolution maps
-circle-site basis states one-hot to one-hot, shifting the site label by k,
-so any Born distribution over the sites is transported rigidly:
+The classical side is a particle hopping around the N circle sites
+phi_s = 2*pi*s/N: ``transport_steps`` moves a site distribution forward by
+one hop of 2*pi/N per step, and probability in equals probability out.
+The dual N-level system evolves each energy amplitude by
+exp(-1j*n*omega*t).  At the stroboscopic times t = 2*pi*k/(N*omega) the
+quantum evolution maps circle-site basis states one-hot to one-hot,
+shifting the site label by k, so any Born distribution over the sites is
+transported rigidly:
 
-    born(evolve_quantum(psi, t)) == rotate_by_k(born(psi))      (exactly)
+    born(evolve_quantum(psi, t)) == transport_steps(born(psi), k)      (exactly)
 
 At step k level n gains the phase exp(-2j*pi*((n*k) mod N)/N), exact for
-every integer k.  ``duality_deviations`` measures the max-norm gap between
-the two routes for a batch of states, one (states x N) FFT per k; the
+every integer k, so step k depends on k only through its residue k mod N.
+``duality_deviations`` measures the max-norm gap between the two routes
+for a batch of states, one (states x N) FFT per distinct residue; the
 contract is <= 1e-10 for every normalized state and every integer k.
 ``evolve_report`` runs one state to a step k or to any time t.  Between
 grid times site transport is not defined at finite N, so it reports the
-gap to the nearest rigid rotation instead of interpolating.
+gap to the nearest rotation instead of interpolating.
 """
 
 from __future__ import annotations
@@ -26,25 +30,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, DomainError, NormalizationError, StroboscopicError
+from .errors import BasisError, DimensionError, DomainError, NormalizationError
 from .hilbert import Basis, StateVector, check_dense_size, to_energy, to_sites
 
 _TAU = 2.0 * math.pi
 
 WEIGHT_TOL = 1e-12
 STATE_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CirclePhase:
-    """Angle on the circle, canonically reduced to [0, 2*pi)."""
-
-    phi: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise DomainError(f"phase must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", self.phi % _TAU)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,29 +63,6 @@ class AngleDistribution:
         return self.weights.size
 
 
-def _time_at_step(k, dim: int, omega: float) -> float:
-    """The stroboscopic time t = 2*pi*k/(N*omega) of step k, as a finite float."""
-    try:
-        t = _TAU * k / (dim * omega)
-    except (OverflowError, ZeroDivisionError):
-        t = math.inf
-    if not math.isfinite(t):
-        raise DomainError(f"time 2*pi*k/(N*omega) is not a finite float at omega = {omega}")
-    return t
-
-
-def _steps_at_time(t: float, dim: int, omega: float) -> float:
-    """The (generally fractional) step count t*N*omega/(2*pi) at time t."""
-    return t * dim * omega / _TAU
-
-
-def evolve_classical(phase: CirclePhase, t: float, omega: float = 1.0) -> CirclePhase:
-    """Rigid rotation phi -> phi + omega*t mod 2*pi."""
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t}")
-    return CirclePhase(phase.phi + omega * t)
-
-
 def _phases(dim: int, t: float, omega: float) -> np.ndarray:
     """exp(-1j*n*omega*t) for n = 0..dim-1."""
     # the largest phase, not t alone: a finite t can still overflow n*omega*t
@@ -102,10 +71,10 @@ def _phases(dim: int, t: float, omega: float) -> np.ndarray:
     return np.exp(-1j * np.arange(dim) * omega * t)
 
 
-def _step_phases(dim: int, k) -> np.ndarray:
+def _step_phases(dim: int, k: int) -> np.ndarray:
     """exp(-1j*n*omega*t) at t = 2*pi*k/(N*omega), from exact integer phase indices."""
     n = np.arange(dim)
-    return np.exp(-2j * np.pi * ((n * (int(k) % dim)) % dim) / dim)
+    return np.exp(-2j * np.pi * ((n * (k % dim)) % dim) / dim)
 
 
 def evolve_quantum(state: StateVector, t: float, omega: float = 1.0) -> StateVector:
@@ -145,26 +114,12 @@ def born_distribution(state: StateVector) -> AngleDistribution:
 
 
 def transport_steps(rho: AngleDistribution, k: int) -> AngleDistribution:
-    """Rotate the distribution forward by k sites (mass conserved exactly)."""
-    return AngleDistribution(np.roll(rho.weights, int(k)))
+    """Move the distribution k hops of 2*pi/N forward (mass conserved exactly).
 
-
-def transport_distribution(
-    rho: AngleDistribution, t: float, omega: float = 1.0
-) -> AngleDistribution:
-    """Rigid site transport for a stroboscopic time t = 2*pi*k/(N*omega).
-
-    Non-stroboscopic times are rejected: at finite N the exact theorem is
-    a grid statement, and interpolation is deliberately not offered.
+    This is the classical motion: each stroboscopic step of the quantum
+    evolution carries the Born weights one site forward.  k must be an integer.
     """
-    steps = _steps_at_time(t, rho.dim, omega)
-    k = round(steps)
-    if abs(steps - k) > 1e-9 * max(1.0, abs(steps)):
-        raise StroboscopicError(
-            f"t = {t!r} is {steps:.6f} transport steps; site transport needs an "
-            f"integer multiple of 2*pi/(N*omega) = {_time_at_step(1, rho.dim, omega):.6g}"
-        )
-    return transport_steps(rho, k)
+    return AngleDistribution(np.roll(rho.weights, operator.index(k)))
 
 
 def duality_deviations(amplitudes, ks) -> np.ndarray:
@@ -174,20 +129,22 @@ def duality_deviations(amplitudes, ks) -> np.ndarray:
     states.  For each integer k in ``ks`` every state is evolved by k
     stroboscopic steps, and its Born distribution is compared against the
     k-site rotation of its initial one; entry i of the result is the
-    largest gap over all states at ks[i].
+    largest gap over all states at ks[i].  Steps k and k + N give
+    bit-identical gaps, so each distinct residue k mod N is evaluated once.
     """
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] < 1:
         raise DimensionError(f"expected a (states x N) array, got shape {amps.shape}")
     trials, dim = amps.shape
     check_dense_size(trials, dim, "the batch of states")
+    residues = [operator.index(k) % dim for k in ks]
     _check_norms(amps)
     initial = _site_weights(to_sites(amps))
-    out = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        quantum = _site_weights(to_sites(_step_phases(dim, k) * amps))
-        out[i] = np.max(np.abs(quantum - np.roll(initial, int(k) % dim, axis=1)))
-    return out
+    gap = {}
+    for r in dict.fromkeys(residues):
+        quantum = _site_weights(to_sites(_step_phases(dim, r) * amps))
+        gap[r] = np.max(np.abs(quantum - np.roll(initial, r, axis=1)))
+    return np.array([gap[r] for r in residues])
 
 
 class EvolveReport(NamedTuple):
@@ -212,13 +169,19 @@ def evolve_report(state: StateVector, omega: float, *, steps=None, time=None) ->
     if (steps is None) == (time is None):
         raise DomainError("give exactly one of steps or time")
     energy = state if state.basis is Basis.ENERGY else to_energy(state)
+    dim = energy.dim
     if steps is not None:
         k = operator.index(steps)
-        time = _time_at_step(k, energy.dim, omega)
-        evolved = StateVector(Basis.ENERGY, _step_phases(energy.dim, k) * energy.amplitudes)
+        try:
+            time = _TAU * k / (dim * omega)
+        except (OverflowError, ZeroDivisionError):
+            time = math.inf
+        if not math.isfinite(time):
+            raise DomainError(f"time 2*pi*k/(N*omega) is not a finite float at omega = {omega}")
+        evolved = StateVector(Basis.ENERGY, _step_phases(dim, k) * energy.amplitudes)
     else:
         evolved = evolve_quantum(energy, time, omega)  # refuses a phase that is not finite
-        k = round(_steps_at_time(time, energy.dim, omega)) % energy.dim
+        k = round(time * dim * omega / _TAU) % dim
     initial = born_distribution(energy)
     quantum = born_distribution(evolved)
     transported = transport_steps(initial, k)

@@ -29,10 +29,6 @@ class NearSingularityError(CircleDualError, ValueError):
     """Angle too close to the divergence of the circle kernel."""
 
 
-class StroboscopicError(CircleDualError, ValueError):
-    """Time is not a multiple of the site-to-site transport step."""
-
-
 class ConvergenceError(CircleDualError, ArithmeticError):
     """Requested accuracy unreachable within the term budget.
 

@@ -29,9 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, NormalizationError
+from .errors import BasisError, DimensionError
 
-NORM_TOL = 1e-12
 DENSE_ENTRY_CEILING = 4096 * 4096
 
 
@@ -87,18 +86,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(np.sum(np.abs(self.amplitudes) ** 2) - 1.0) <= tol
-
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
-            raise NormalizationError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / n)
 
 
 def energy_state(n: int, dim: int) -> StateVector:

@@ -5,26 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circledual import dynamics
 from circledual import (
     AngleDistribution,
     BasisError,
-    CirclePhase,
     DimensionError,
     NormalizationError,
     StateVector,
     Basis,
-    StroboscopicError,
     born_distribution,
     DomainError,
     duality_deviations,
     energy_state,
-    evolve_classical,
     evolve_quantum,
     evolve_report,
     ontological_state,
     random_state,
     to_ontological,
-    transport_distribution,
     transport_steps,
 )
 
@@ -32,43 +29,51 @@ TAU = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# classical motion
+# classical motion: one hop of 2*pi/N per stroboscopic step
 
 
 def test_half_turn():
-    assert evolve_classical(CirclePhase(0.0), math.pi).phi == pytest.approx(math.pi, abs=0)
+    # by t = pi/omega a particle on an even number of sites has hopped N/2 of them
+    n = 8
+    report = evolve_report(ontological_state(1, n), 1.0, time=math.pi)
+    assert report.k == n // 2
+    assert report.transported.weights[1 + n // 2] == 1.0 and report.deviation <= 1e-12
 
 
 def test_full_period_returns():
-    assert evolve_classical(CirclePhase(1.0), TAU).phi == pytest.approx(1.0, abs=1e-12)
+    omega = 1.5
+    report = evolve_report(random_state(10, np.random.default_rng(3)), omega, time=TAU / omega)
+    assert report.k == 0
+    assert np.array_equal(report.transported.weights, report.initial.weights)
+    assert report.deviation <= 1e-10
 
 
 def test_scaled_frequency():
-    out = evolve_classical(CirclePhase(0.5), 2.0, omega=3.0)
-    assert out.phi == pytest.approx((0.5 + 6.0) % TAU, abs=1e-12)
-    assert out.phi == pytest.approx(0.21681469282041377, abs=1e-12)
+    # at omega = 3 the angle swept by t = 2 is 6 rad, nearest to site 11 of 12
+    report = evolve_report(ontological_state(0, 12), 3.0, time=2.0)
+    assert report.k == 11
+    assert report.transported.weights[11] == 1.0
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    phi=st.floats(min_value=0.0, max_value=6.28),
-    t1=st.floats(min_value=-50.0, max_value=50.0),
-    t2=st.floats(min_value=-50.0, max_value=50.0),
-)
-def test_composition_law(phi, t1, t2):
-    stepwise = evolve_classical(evolve_classical(CirclePhase(phi), t1), t2)
-    combined = evolve_classical(CirclePhase(phi), t1 + t2)
-    gap = abs(stepwise.phi - combined.phi)
-    assert min(gap, TAU - gap) < 1e-10
+@given(k1=st.integers(-(10**20), 10**20), k2=st.integers(-(10**20), 10**20))
+def test_composition_law(k1, k2):
+    n = 10
+    rho = AngleDistribution(np.arange(1.0, n + 1) / 55.0)
+    stepwise = transport_steps(transport_steps(rho, k1), k2)
+    assert np.array_equal(stepwise.weights, transport_steps(rho, k1 + k2).weights)
 
 
 def test_phase_reduction_and_validation():
-    assert CirclePhase(TAU + 0.25).phi == pytest.approx(0.25, abs=1e-12)
-    assert CirclePhase(-0.25).phi == pytest.approx(TAU - 0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        CirclePhase(float("nan"))
-    with pytest.raises(ValueError):
-        evolve_classical(CirclePhase(0.0), float("inf"))
+    n = 7
+    rho = born_distribution(ontological_state(2, n))
+    assert np.array_equal(transport_steps(rho, -3).weights, transport_steps(rho, n - 3).weights)
+    assert np.array_equal(transport_steps(rho, np.int64(2 * n + 1)).weights,
+                          transport_steps(rho, 1).weights)
+    # a step count is an integer: a fractional one is refused, not truncated
+    for fractional in (1.7, 2.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            transport_steps(rho, fractional)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +168,16 @@ def test_distribution_validation():
 def test_uniform_is_rotation_invariant():
     n = 9
     rho = AngleDistribution(np.full(n, 1.0 / n))
-    out = transport_distribution(rho, 5 * TAU / n)
+    out = transport_steps(rho, 5)
     assert np.array_equal(out.weights, rho.weights)
 
 
 def test_single_step_moves_one_site():
     n = 6
-    rho = born_distribution(ontological_state(0, n))
-    out = transport_distribution(rho, TAU / n)
+    report = evolve_report(ontological_state(0, n), 1.0, steps=1)
+    out = report.transported
     assert out.weights[1] == 1.0 and np.sum(out.weights) == 1.0
+    assert report.quantum.weights[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_revolution_is_identity():
@@ -193,18 +199,13 @@ def test_transport_composition_exact():
     assert np.array_equal(one_then_two.weights, three.weights)
 
 
-def test_offgrid_time_rejected():
-    rho = AngleDistribution(np.full(4, 0.25))
-    with pytest.raises(StroboscopicError):
-        transport_distribution(rho, 0.3)
-
-
 def test_transport_respects_omega():
     n = 5
     omega = 2.5
-    rho = born_distribution(ontological_state(2, n))
-    out = transport_distribution(rho, TAU / (n * omega), omega=omega)
-    assert out.weights[3] == 1.0
+    report = evolve_report(ontological_state(2, n), omega, time=TAU / (n * omega))
+    assert report.k == 1
+    assert report.transported.weights[3] == 1.0
+    assert report.deviation <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,9 @@ def test_batch_equals_per_state_loop(n, omega):
     """The batch runs the per-state arithmetic of evolve_report unchanged."""
     rng = np.random.default_rng(n)
     states = [random_state(n, rng) for _ in range(7)]
-    ks = [0, 1, 5, -3, 2 * n + 1]
+    # unsorted, with repeats and residue twins: each residue is evaluated once
+    # and the gaps come back in the order of ks
+    ks = [5, 0, n + 5, -3, 5, 2 * n + 1, 1]
     batch = duality_deviations(np.array([s.amplitudes for s in states]), ks)
     loop = [max(evolve_report(s, omega, steps=k).deviation for s in states) for k in ks]
     assert batch.tolist() == loop
@@ -307,10 +310,31 @@ def test_evolve_report_validation():
         evolve_report(state, 1.0, steps=2.5)
 
 
+def test_each_residue_evaluated_once(monkeypatch):
+    n = 16
+    states = np.array([random_state(n, np.random.default_rng(i)).amplitudes for i in range(3)])
+    calls = []
+    to_sites = dynamics.to_sites
+
+    def counting_to_sites(amplitudes):
+        calls.append(amplitudes.shape)
+        return to_sites(amplitudes)
+
+    monkeypatch.setattr(dynamics, "to_sites", counting_to_sites)
+    per_k = duality_deviations(states, range(2 * n + 1))
+    # one call for the initial weights, then one per residue 0..N-1
+    assert len(calls) == n + 1
+    assert per_k[: n + 1].tolist() == per_k[n:].tolist()
+
+
 def test_batch_validation():
     good = random_state(4, np.random.default_rng(0)).amplitudes
     with pytest.raises(DimensionError):
         duality_deviations(good, [1])
+    # a step count is an integer: a fractional one is refused, not truncated
+    for fractional in (2.5, 2.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            duality_deviations(good[None, :], [0, fractional])
     with pytest.raises(NormalizationError):
         duality_deviations(np.array([good, 2.0 * good]), [1])
     # a broadcast view allocates nothing; its size is refused before any work
