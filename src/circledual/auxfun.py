@@ -29,6 +29,14 @@ which shares no table and no series with it, checks every g at run time:
 g = Gamma(3/2) (2 pi)^(-3/2) [e^{3 pi i/4} zeta(3/2, x) + e^{-3 pi i/4}
 zeta(3/2, 1 - x)] for x = phi / (2 pi) in (0, 1).
 
+Every evaluator except ``map_to_z`` takes one point (an angle for f and g)
+or an array of points of any shape, and returns per-point values and error
+estimates in that shape; one point is a batch of one on the same numpy
+route and comes back as numpy scalars, so its bits do not depend on its
+batch.  The series are row sums over power tables built ``_BLOCK`` points
+at a time.  A point outside a domain raises the usual error naming its
+index in the flattened batch.
+
 The analytic continuation beyond the circle lives on a double cover joined
 along the cut [1, inf).  The coordinate change
 
@@ -43,6 +51,7 @@ variant, which loses precision for small |y|.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -96,9 +105,18 @@ _ZETA = (
 # Terms of the branch-point sum: for |mu| <= 3.22 the k-th term shrinks
 # like (|mu| / 2 pi)^k, below 1e-19 of the value by k = 64.
 _EXPANSION_TERMS = 64
+# its coefficients zeta(3/2 - shift - k) / k!, k = 0..63, for shift 0 (F) and 2 (S)
+_EXPANSION_COEFFS = {
+    shift: np.array([_ZETA[k + shift] / math.factorial(k) for k in range(_EXPANSION_TERMS)])
+    for shift in (0, 2)
+}
 # Roundoff of the expansion, in units of the summed magnitudes: covers the
-# Horner sum and the rounding of mu = log z (measured worst: 1.5 eps).
+# rounding of mu = log z, of the power table and the coefficients, and of
+# the products and their pairwise row sum (measured worst: 2.0 eps).
 _ROUNDOFF = 4.0 * sys.float_info.epsilon
+# Points per block of the tabulated series: a block's power tables take
+# about 1 MiB at any batch size.
+_BLOCK = 1024
 
 # Euler-Maclaurin for zeta(3/2, a): 16 direct terms, two endpoint terms and
 # B_2j/(2j)!, j = 1..8 (tests regenerate them); the next term is < 3e-22 of it.
@@ -109,6 +127,10 @@ _BERNOULLI_RATIOS = (
     1.3382536530684679e-11, -3.3896802963225827e-13,
 )
 _HURWITZ_TERMS = 2 * (_HURWITZ_DIRECT + 2 + len(_BERNOULLI_RATIOS))  # two zetas
+# the j-th correction is B_2j/(2j)! (3/2)(5/2)...(2j - 1/2) m^(-1/2 - 2j)
+_EULER_MACLAURIN = np.array(_BERNOULLI_RATIOS) * np.cumprod(
+    [1.5] + [(2 * j + 0.5) * (2 * j + 1.5) for j in range(1, len(_BERNOULLI_RATIOS))]
+)
 # The two routes of g together err by at most about 50 eps |g|; demand 1e-12 |g|.
 _KERNEL_AGREEMENT = 1e-12
 
@@ -117,82 +139,127 @@ KERNEL_GUARD = 1e-3
 
 
 class SeriesResult(NamedTuple):
-    """Value of a series evaluation with an absolute error estimate."""
+    """Values and absolute error estimates in the shape of the input points
+    (numpy scalars for one point), and the terms summed over all points."""
 
-    value: complex
-    error: float
+    value: np.ndarray
+    error: np.ndarray
     terms: int
+
+
+def _pointwise(dtype):
+    """Let a function of a 1-d array of points, its last argument, take one
+    point or an array of any shape: its per-point results (an array, or the
+    value and error of a SeriesResult) come back in the input's shape, as
+    numpy scalars for one point."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def pointwise(*args):
+            points = np.asarray(args[-1], dtype=dtype)
+            out = fn(*args[:-1], points.reshape(-1))
+            if isinstance(out, SeriesResult):
+                value, error = (v.reshape(points.shape)[()] for v in out[:2])
+                return SeriesResult(value, error, out.terms)
+            return out.reshape(points.shape)[()]
+
+        return pointwise
+
+    return decorate
+
+
+def _reject(bad: np.ndarray, error: type, message: str, values: np.ndarray) -> None:
+    """Raise ``error`` for the first point where ``bad`` holds, naming its index."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"{message.format(values[i])} at index {i}")
+
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """Rows z^0 .. z^(count-1), one per point, by a cumulative product.
+
+    The series below, and q and q' of the zero finder, are sums over the
+    rows of such a table, not Python loops over the coefficients.
+    """
+    powers = np.repeat(z[:, None], count, axis=1)
+    powers[:, 0] = 1.0
+    np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
+    return powers
+
+
+def _by_blocks(series, points: np.ndarray, *args) -> list[np.ndarray]:
+    """The per-point outputs of ``series(block, *args)``, _BLOCK points at a
+    time; no points make one empty block."""
+    blocks = [series(points[i : i + _BLOCK], *args) for i in range(0, max(points.size, 1), _BLOCK)]
+    return [np.concatenate(outputs) for outputs in zip(*blocks)]
 
 
 # --------------------------------------------------------------------------
 # finite partial sums
 
 
-def sqrt_series(n: int, z: complex) -> complex:
-    """Partial sum S_n(z) = sum_{k=1..n} sqrt(k) z^k by Horner evaluation."""
+@_pointwise(np.complex128)
+def sqrt_series(n: int, z: np.ndarray) -> np.ndarray:
+    """Partial sum S_n(z) = sum_{k=1..n} sqrt(k) z^k, by Horner's rule at every point."""
     if n < 0:
         raise DimensionError(f"order must be >= 0, got {n}")
-    acc = 0j
-    z = complex(z)
-    for k in range(n, 0, -1):
-        acc = acc * z + math.sqrt(k)
-    return acc * z
-
-
-def _sqrt_poly_coeffs(n: int) -> np.ndarray:
-    """Coefficients of S_n, highest power first (constant term 0)."""
-    c = np.sqrt(np.arange(n, 0, -1, dtype=np.float64))
-    return np.concatenate([c, [0.0]])
-
-
-def _polyval(coeffs_high_first: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(pts, dtype=np.complex128)
-    for c in coeffs_high_first:
-        acc = acc * pts + c
-    return acc
+    acc = np.zeros_like(z)
+    # large |z| overflows to inf or nan; the writers reject such values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n, 0, -1):
+            acc = acc * z + math.sqrt(k)
+        return acc * z
 
 
 # --------------------------------------------------------------------------
 # the two routes for Li_{3/2} = F and Li_{-1/2} = S
 
 
-def _direct_series(z: complex, power: float) -> SeriesResult:
-    """sum_{n>=1} n^power z^n for |z| <= _DIRECT_RADIUS."""
-    if z == 0:
-        return SeriesResult(0j, 0.0, 0)
-    n = np.arange(1, _DIRECT_TERMS + 1, dtype=np.float64)
-    total = complex(np.sum(n**power * np.exp(n * cmath.log(z))))
+def _direct_series(z: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{n>=1} n^power z^n for |z| <= _DIRECT_RADIUS, with its error bound."""
+    terms = _powers(z, _DIRECT_TERMS + 1)[:, 1:] * np.arange(1.0, _DIRECT_TERMS + 1) ** power
     # n^power r^n falls by at least the ratio q beyond n = m
-    m, r = _DIRECT_TERMS, abs(z)
+    m, r = _DIRECT_TERMS, np.abs(z)
     q = r * max(1.0, ((m + 2.0) / (m + 1.0)) ** power)
     tail = (m + 1.0) ** power * r ** (m + 1) / (1.0 - q)
-    return SeriesResult(total, tail + 1e-15, _DIRECT_TERMS)
+    return terms.sum(axis=1), np.where(z == 0, 0.0, tail + 1e-15)
 
 
-def _branch_point_series(mu: complex, shift: int) -> SeriesResult:
+def _branch_point_series(mu: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Li_s(e^mu) for s = 3/2 - shift (shift 0 or 2), Re mu <= 0, |mu| <= 3.22.
 
     The singular term Gamma(1 - s) (-mu)^(s-1) is Gamma(shift - 1/2)
-    sqrt(-mu) / mu^shift; the regular sum runs by Horner's rule, next to a
-    Horner sum of the term magnitudes that scales the roundoff estimate.
+    sqrt(-mu) / mu^shift; the regular sum, zeta(s - k) mu^k / k! over
+    k < 64, is a row sum of the power table, next to the row sum of the
+    term magnitudes that scales the roundoff estimate.
     """
-    singular = math.gamma(shift - 0.5) * cmath.sqrt(-mu) / mu**shift
-    total = 0j
-    scale = 0.0
-    radius = abs(mu)
-    for k in range(_EXPANSION_TERMS - 1, 0, -1):
-        total = (total + _ZETA[k + shift]) * mu / k
-        scale = (scale + abs(_ZETA[k + shift])) * radius / k
-    value = singular + total + _ZETA[shift]
-    error = _ROUNDOFF * (abs(singular) + scale + abs(_ZETA[shift]))
-    return SeriesResult(value, error, _EXPANSION_TERMS)
+    coeffs = _EXPANSION_COEFFS[shift]
+    powers = _powers(mu, _EXPANSION_TERMS)
+    singular = math.gamma(shift - 0.5) * np.sqrt(-mu) / powers[:, shift]
+    scale = (np.abs(powers) * np.abs(coeffs)).sum(axis=1)
+    value = singular + (powers * coeffs).sum(axis=1)
+    return value, _ROUNDOFF * (np.abs(singular) + scale)
+
+
+def _disk_series(z: np.ndarray, power: float, shift: int) -> SeriesResult:
+    """sum n^power z^n: direct for |z| <= 1/2, else expanded at mu = log z."""
+    direct = np.abs(z) <= _DIRECT_RADIUS
+    value, error = np.empty(z.size, dtype=np.complex128), np.empty(z.size)
+    value[direct], error[direct] = _by_blocks(_direct_series, z[direct], power)
+    mu = np.log(z[~direct])
+    # the closed-disk tolerance of F admits points just outside the circle: take them onto it
+    mu.real = np.minimum(mu.real, 0.0)
+    value[~direct], error[~direct] = _by_blocks(_branch_point_series, mu, shift)
+    terms = _DIRECT_TERMS * np.count_nonzero(z[direct]) + _EXPANSION_TERMS * mu.size
+    return SeriesResult(value, error, int(terms))
 
 
 # --------------------------------------------------------------------------
 # F = Li_{3/2} on the closed disk, f on the circle
 
 
-def li_three_halves(z: complex) -> SeriesResult:
+@_pointwise(np.complex128)
+def li_three_halves(z: np.ndarray) -> SeriesResult:
     """F(z) = sum z^n / (n sqrt n) on the closed unit disk.
 
     Direct summation for |z| <= 1/2, the branch-point expansion beyond it,
@@ -201,36 +268,39 @@ def li_three_halves(z: complex) -> SeriesResult:
     proportional to the magnitudes summed.  Raises DomainError outside the
     closed disk.
     """
-    z = complex(z)
-    magnitude = abs(z)
-    if magnitude > 1.0 + 1e-12:
-        raise DomainError(f"|z| = {magnitude:.6g} > 1; use the second-sheet form")
-    if magnitude <= _DIRECT_RADIUS:
-        return _direct_series(z, -1.5)
-    mu = cmath.log(z)
-    # the tolerance above admits points just outside the circle: take them onto it
-    return _branch_point_series(complex(min(mu.real, 0.0), mu.imag), 0)
+    r = np.abs(z)
+    _reject(r > 1.0 + 1e-12, DomainError, "|z| = {:.6g} > 1; use the second-sheet form", r)
+    return _disk_series(z, -1.5, 0)
 
 
-def reduce_angle(phi: float) -> float:
-    """Canonical representative of phi in (-pi, pi]."""
-    r = math.remainder(phi, _TAU)
-    return math.pi if r == -math.pi else r
+@_pointwise(np.float64)
+def reduce_angle(phi: np.ndarray) -> np.ndarray:
+    """Canonical representative of phi in (-pi, pi], phi - 2 pi n exactly.
+
+    fmod is exact, and so is the shift by 2 pi of a remainder beyond pi
+    (Sterbenz), so this is math.remainder(phi, 2 pi) with -pi taken to pi.
+    """
+    _reject(~np.isfinite(phi), DomainError, "angle must be finite, got {}", phi)
+    r = np.fmod(phi, _TAU)
+    r = np.where(r > math.pi, r - _TAU, r)
+    return np.where(r <= -math.pi, r + _TAU, r)
 
 
-def li_three_halves_circle(phi: float) -> SeriesResult:
+@_pointwise(np.float64)
+def li_three_halves_circle(phi: np.ndarray) -> SeriesResult:
     """f(phi) = F(e^{i phi}), the branch-point expansion at mu = i phi.
 
     Real coefficients give f(-phi) = conj(f(phi)) exactly.
     """
-    return _branch_point_series(complex(0.0, reduce_angle(phi)), 0)
+    value, error = _by_blocks(_branch_point_series, 1j * reduce_angle(phi), 0)
+    return SeriesResult(value, error, _EXPANSION_TERMS * phi.size)
 
 
-def li_three_halves_sheet2(z: complex) -> SeriesResult:
+@_pointwise(np.complex128)
+def li_three_halves_sheet2(z: np.ndarray) -> SeriesResult:
     """Second-sheet continuation of F: the same series in 1/z, |z| > 1."""
-    z = complex(z)
-    if abs(z) <= 1.0:
-        raise DomainError(f"second sheet needs |z| > 1, got |z| = {abs(z):.6g}")
+    r = np.abs(z)
+    _reject(r <= 1.0, DomainError, "second sheet needs |z| > 1, got |z| = {:.6g}", r)
     return li_three_halves(1.0 / z)
 
 
@@ -238,96 +308,85 @@ def li_three_halves_sheet2(z: complex) -> SeriesResult:
 # the full sqrt series: disk, second sheet, and the circle kernel
 
 
-def sqrt_series_disk(z: complex) -> SeriesResult:
+@_pointwise(np.complex128)
+def sqrt_series_disk(z: np.ndarray) -> SeriesResult:
     """S(z) = sum sqrt(n) z^n for |z| < 1, by the routes of ``li_three_halves``."""
-    z = complex(z)
-    magnitude = abs(z)
-    if magnitude >= 1.0:
-        raise DomainError(f"series converges only for |z| < 1, got {magnitude:.6g}")
-    if magnitude <= _DIRECT_RADIUS:
-        return _direct_series(z, 0.5)
-    return _branch_point_series(cmath.log(z), 2)
+    r = np.abs(z)
+    _reject(r >= 1.0, DomainError, "series converges only for |z| < 1, got {:.6g}", r)
+    return _disk_series(z, 0.5, 2)
 
 
-def sqrt_series_sheet2(z: complex) -> SeriesResult:
+@_pointwise(np.complex128)
+def sqrt_series_sheet2(z: np.ndarray) -> SeriesResult:
     """Second-sheet value sum sqrt(n) z^{-n}, convergent for |z| > 1."""
-    z = complex(z)
-    if abs(z) <= 1.0:
-        raise DomainError(f"second sheet needs |z| > 1, got |z| = {abs(z):.6g}")
+    r = np.abs(z)
+    _reject(r <= 1.0, DomainError, "second sheet needs |z| > 1, got |z| = {:.6g}", r)
     return sqrt_series_disk(1.0 / z)
 
 
-def _hurwitz_zeta_three_halves(a: float) -> float:
+def _hurwitz_zeta_three_halves(a: np.ndarray) -> np.ndarray:
     """zeta(3/2, a) = sum_{n>=0} (n + a)^(-3/2) for 0 < a < 1, by Euler-Maclaurin."""
-    total = sum((n + a) ** -1.5 for n in range(_HURWITZ_DIRECT - 1, -1, -1))
+    direct = ((np.arange(_HURWITZ_DIRECT) + a[:, None]) ** -1.5).sum(axis=1)
     m = _HURWITZ_DIRECT + a
-    total += 2.0 / math.sqrt(m) + 0.5 * m**-1.5
-    # the j-th correction is B_2j/(2j)! (3/2)(5/2)...(2j - 1/2) m^(-1/2 - 2j)
-    rising, power = 1.5, m**-2.5
-    for j, ratio in enumerate(_BERNOULLI_RATIOS, start=1):
-        total += ratio * rising * power
-        rising *= (2 * j + 0.5) * (2 * j + 1.5)
-        power /= m * m
-    return total
+    corrections = (_powers(m**-2.0, len(_EULER_MACLAURIN)) * _EULER_MACLAURIN).sum(axis=1)
+    return direct + 2.0 / np.sqrt(m) + 0.5 * m**-1.5 + m**-2.5 * corrections
 
 
-def _kernel_hurwitz(phi: float) -> complex:
-    """g(phi) by Hurwitz's formula, for a reduced angle phi != 0.
+@_pointwise(np.float64)
+def _kernel_hurwitz(phi: np.ndarray) -> np.ndarray:
+    """g(phi) by Hurwitz's formula, for reduced angles phi != 0.
 
     The phases and Gamma(3/2)/(2 pi)^(3/2) combine to (-(A + B) + i (A - B))
-    / (8 pi), A = zeta(3/2, x), B = zeta(3/2, 1 - x), both taken from phi
-    directly; negating phi swaps A and B, so g(-phi) = conj(g(phi)) exactly.
+    / (8 pi), A = zeta(3/2, x), B = zeta(3/2, 1 - x).  Both are taken from
+    |phi| directly, and the sign of phi only orders them, so
+    g(-phi) = conj(g(phi)) exactly.
     """
-    if phi > 0.0:
-        x, rest = phi / _TAU, (_TAU - phi) / _TAU
-    else:
-        x, rest = (_TAU + phi) / _TAU, -phi / _TAU
-    a = _hurwitz_zeta_three_halves(x)
-    b = _hurwitz_zeta_three_halves(rest)
-    return complex(-(a + b), a - b) / (8.0 * math.pi)
+    s = np.abs(phi)
+    near, far = _hurwitz_zeta_three_halves(np.concatenate([s, _TAU - s]) / _TAU).reshape(2, -1)
+    return (1j * np.copysign(near - far, phi) - (near + far)) / (8.0 * math.pi)
 
 
-def _check_kernel_angle(phi: float) -> float:
-    phi = reduce_angle(phi)
-    if abs(phi) < KERNEL_GUARD:
-        raise NearSingularityError(
-            f"kernel diverges at phi = 0 mod 2*pi; |phi| = {abs(phi):.3g} < {KERNEL_GUARD}"
-        )
-    return phi
+def _kernel_block(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g by the expansion, its error estimate, and its gap to Hurwitz's formula."""
+    value, error = _branch_point_series(1j * phi, 2)
+    return value, error, np.abs(value - _kernel_hurwitz(phi))
 
 
-def angle_kernel(phi: float) -> SeriesResult:
+@_pointwise(np.float64)
+def angle_kernel(phi: np.ndarray) -> SeriesResult:
     """g(phi) by the branch-point expansion, cross-checked by Hurwitz's formula.
 
     Returns the expansion value; the error field is the larger of its own
     estimate and the observed disagreement with the Hurwitz route.
     Raises NearSingularityError within KERNEL_GUARD of 0 mod 2*pi and
-    ConvergenceError if the routes differ by more than 1e-12 |g|.
+    ConvergenceError if the routes differ by more than 1e-12 |g|, each
+    naming the first such point.
     """
-    phi = _check_kernel_angle(phi)
-    primary = _branch_point_series(complex(0.0, phi), 2)
-    disagreement = abs(primary.value - _kernel_hurwitz(phi))
-    tolerance = _KERNEL_AGREEMENT * abs(primary.value)
-    terms = primary.terms + _HURWITZ_TERMS
-    if disagreement > tolerance:
+    phi = reduce_angle(phi)
+    r = np.abs(phi)
+    message = f"kernel diverges at phi = 0 mod 2*pi; |phi| = {{:.3g}} < {KERNEL_GUARD}"
+    _reject(r < KERNEL_GUARD, NearSingularityError, message, r)
+    value, error, disagreement = _by_blocks(_kernel_block, phi)
+    tolerance = _KERNEL_AGREEMENT * np.abs(value)
+    terms = (_EXPANSION_TERMS + _HURWITZ_TERMS) * phi.size
+    if np.any(disagreement > tolerance):
+        i = int(np.argmax(disagreement > tolerance))
         raise ConvergenceError(
-            f"kernel routes disagree by {disagreement:.3e} > {tolerance:.3e} at phi = {phi}",
-            best_estimate=primary.value,
-            error_estimate=disagreement,
-            terms=terms,
+            f"kernel routes disagree by {disagreement[i]:.3e} > {tolerance[i]:.3e} "
+            f"at phi = {phi[i]}, index {i}",
+            best_estimate=value[i], error_estimate=disagreement[i], terms=terms,
         )
-    return SeriesResult(primary.value, max(primary.error, disagreement), terms)
+    return SeriesResult(value, np.maximum(error, disagreement), terms)
 
 
 # --------------------------------------------------------------------------
 # two-sheet coordinate change
 
 
-def map_to_y(z: complex) -> complex:
+@_pointwise(np.complex128)
+def map_to_y(z: np.ndarray) -> np.ndarray:
     """y = 4 z / (1 + z)**2; undefined at the pole z = -1."""
-    z = complex(z)
-    if z == -1.0:
-        raise PoleError("map has a pole at z = -1")
+    _reject(z == -1.0, PoleError, "map has a pole at z = -1", z)
     return 4.0 * z / (1.0 + z) ** 2
 
 
@@ -390,9 +449,9 @@ class ZeroSet:
         """The worst per-root residual."""
         return float(np.max(self.residuals))
 
-    def near_circle_fraction(self, band: float = 0.1) -> float:
-        """Fraction of roots with ||z| - 1| < band."""
-        return float(np.mean(np.abs(np.abs(self.roots) - 1.0) < band))
+    def near_circle_fraction(self) -> float:
+        """Fraction of roots with ||z| - 1| < 0.1."""
+        return float(np.mean(np.abs(np.abs(self.roots) - 1.0) < 0.1))
 
 
 MAX_ZERO_DEGREE = 512
@@ -400,18 +459,6 @@ MAX_ZERO_DEGREE = 512
 # Aberth-Ehrlich sweeps before sqrt_series_zeros gives up; every degree in
 # 1..MAX_ZERO_DEGREE converges within 32.
 _ABERTH_SWEEPS = 64
-
-
-def _powers(z: np.ndarray, count: int) -> np.ndarray:
-    """Rows z^0 .. z^(count-1), one per point, by a cumulative product.
-
-    With it q and q' at every point are one matrix product, not a Python
-    loop over the coefficients.
-    """
-    powers = np.empty((z.size, count), dtype=np.complex128)
-    powers[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(z[:, None], (z.size, count - 1)), axis=1, out=powers[:, 1:])
-    return powers
 
 
 def sqrt_series_zeros(degree: int) -> ZeroSet:
@@ -484,8 +531,7 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
 
     roots = np.concatenate([[0.0], z, z[:half].conj()])
     roots = roots[np.lexsort((np.abs(roots), np.angle(roots)))]
-    coeffs = _sqrt_poly_coeffs(degree)
-    zero_set = ZeroSet(degree=degree, roots=roots, residuals=np.abs(_polyval(coeffs, roots)))
+    zero_set = ZeroSet(degree=degree, roots=roots, residuals=np.abs(sqrt_series(degree, roots)))
     bound = 1e-8 * math.sqrt(degree)
     unconverged = int(np.count_nonzero(active))
     if unconverged or not disk_gap > 0.0 or not zero_set.residual <= bound:

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .auxfun import (
-    SeriesResult,
     angle_kernel,
     li_three_halves,
     li_three_halves_circle,
@@ -38,8 +37,6 @@ from .dynamics import duality_deviations, evolve_report
 from .errors import CircleDualError, ConvergenceError, ZeroFindingError
 from .figdata import (
     FigureData,
-    domain_map_closure_gap,
-    domain_map_nesting_violations,
     emit_domain_map,
     emit_f_curve,
     emit_spectrum,
@@ -332,24 +329,18 @@ def _cmd_auxfun_eval(args) -> int:
     if fn in ("f", "g"):
         if not args.phi:
             raise CircleDualError(f"--function {fn} needs --phi angles")
-        evaluate = li_three_halves_circle if fn == "f" else angle_kernel
-        results = [evaluate(p) for p in args.phi]
-        columns = {
-            "phi": np.array(args.phi),
-            "re": np.array([r.value.real for r in results]),
-            "im": np.array([r.value.imag for r in results]),
-            "error_estimate": np.array([r.error for r in results]),
-        }
+        phi = np.array(args.phi)
+        value, error, _ = (li_three_halves_circle if fn == "f" else angle_kernel)(phi)
+        columns = {"phi": phi}
         params = {"function": fn, "phi": list(args.phi)}
     else:
         if not args.z:
             raise CircleDualError(f"--function {fn} needs --z points")
+        z = np.array(args.z)
         if fn == "GN":
             if args.n is None:
                 raise CircleDualError("--function GN needs --n")
-            results = [
-                SeriesResult(sqrt_series(args.n, z), 0.0, args.n) for z in args.z
-            ]
+            value, error = sqrt_series(args.n, z), np.zeros(z.size)
         else:
             evaluate = {
                 "G": sqrt_series_disk,
@@ -357,19 +348,10 @@ def _cmd_auxfun_eval(args) -> int:
                 "F": li_three_halves,
                 "F2": li_three_halves_sheet2,
             }[fn]
-            results = [evaluate(z) for z in args.z]
-        columns = {
-            "re_z": np.array([z.real for z in args.z]),
-            "im_z": np.array([z.imag for z in args.z]),
-            "re": np.array([r.value.real for r in results]),
-            "im": np.array([r.value.imag for r in results]),
-            "error_estimate": np.array([r.error for r in results]),
-        }
-        params = {
-            "function": fn,
-            "n": args.n,
-            "z": [[z.real, z.imag] for z in args.z],
-        }
+            value, error, _ = evaluate(z)
+        columns = {"re_z": z.real, "im_z": z.imag}
+        params = {"function": fn, "n": args.n, "z": [[p.real, p.imag] for p in args.z]}
+    columns.update(re=value.real, im=value.imag, error_estimate=error)
     fig = FigureData(
         columns=columns,
         metadata=make_metadata("auxfun-eval", params, args.timestamp),
@@ -409,21 +391,13 @@ def _cmd_zeros(args) -> int:
 def _cmd_map_domains(args) -> int:
     radii = args.radii if args.radii is not None else [0.05 * k for k in range(1, 21)]
     fig = emit_domain_map(radii, args.samples, args.timestamp)
-    closure = domain_map_closure_gap(fig)
-    violations = domain_map_nesting_violations()
-    fig.metadata["parameters"]["closure_gap"] = closure
-    fig.metadata["parameters"]["nesting_violations"] = violations
+    closure = fig.metadata["parameters"]["closure_gap"]
+    violations = fig.metadata["parameters"]["nesting_violations"]
     write_figure(fig, args.out, args.format)
     if closure > 1e-12:
-        return _fail(
-            "map-domains",
-            CircleDualError(f"curve closure gap {closure:.3e} > 1e-12"),
-        )
+        return _fail("map-domains", CircleDualError(f"curve closure gap {closure:.3e} > 1e-12"))
     if violations:
-        return _fail(
-            "map-domains",
-            CircleDualError(f"{violations} rays violate radial nesting"),
-        )
+        return _fail("map-domains", CircleDualError(f"{violations} rays violate radial nesting"))
     return 0
 
 

@@ -190,20 +190,21 @@ def emit_f_curve(samples: int = 720, timestamp: str | None = None) -> FigureData
     if samples < 2:
         raise DimensionError(f"need at least 2 samples, got {samples}")
     phi = -math.pi + 2.0 * math.pi * np.arange(samples + 1) / samples
-    values = [li_three_halves_circle(float(p)) for p in phi]
-    worst = max(r.error for r in values)
+    f = li_three_halves_circle(phi)
     return FigureData(
-        columns={
-            "phi": phi,
-            "re_f": np.array([r.value.real for r in values]),
-            "im_f": np.array([r.value.imag for r in values]),
-        },
+        columns={"phi": phi, "re_f": f.value.real, "im_f": f.value.imag},
         metadata=make_metadata(
             "f-curve",
-            {"samples": samples, "max_error_estimate": worst},
+            {"samples": samples, "max_error_estimate": float(np.max(f.error))},
             timestamp,
         ),
     )
+
+
+# The nesting check follows 360 rays out through 20 equally spaced radii up
+# to 1, whatever circles the artifact holds.
+_NESTING_RAYS = np.exp(2j * np.pi * np.arange(360) / 360)
+_NESTING_RADII = np.linspace(0.05, 1.0, 20)
 
 
 def emit_domain_map(
@@ -214,8 +215,11 @@ def emit_domain_map(
     Each curve is sampled at samples_per_circle+1 angles with the endpoint
     repeated by evaluation (theta = 0 and 2*pi), so closure is a real check
     rather than a copy.  Radii above 1 are rejected: the first sheet only.
-    An even sample count on the unit circle itself would hit the pole at
-    z = -1, hence the odd default.
+    On the unit circle an even sample count puts a sample at theta = pi,
+    z = -1 + 1.2e-16i: beside the pole z = -1, with a finite |y| near 3e32.
+    The same call of ``map_to_y`` yields the checks in the parameters:
+    ``closure_gap``, the worst first-to-last distance of a curve, and
+    ``nesting_violations``, how many rays have |y| fail to grow with r.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -224,60 +228,27 @@ def emit_domain_map(
         raise DomainError(f"radii must lie in (0, 1], got {radii}")
     if samples_per_circle < 8:
         raise DimensionError(f"need >= 8 samples per circle, got {samples_per_circle}")
-    rad_col, theta_col, re_col, im_col = [], [], [], []
-    for r in radii:
-        for j in range(samples_per_circle + 1):
-            theta = 2.0 * math.pi * j / samples_per_circle
-            y = map_to_y(r * complex(math.cos(theta), math.sin(theta)))
-            rad_col.append(r)
-            theta_col.append(theta)
-            re_col.append(y.real)
-            im_col.append(y.imag)
+    theta = 2.0 * math.pi * np.arange(samples_per_circle + 1) / samples_per_circle
+    circles = np.multiply.outer(radii, np.exp(1j * theta))
+    rays = np.multiply.outer(_NESTING_RAYS, _NESTING_RADII)
+    y = map_to_y(np.concatenate([circles.ravel(), rays.ravel()]))
+    curves = y[: circles.size].reshape(circles.shape)
+    along_rays = np.abs(y[circles.size :]).reshape(rays.shape)
     return FigureData(
         columns={
-            "radius": np.array(rad_col),
-            "theta": np.array(theta_col),
-            "re_y": np.array(re_col),
-            "im_y": np.array(im_col),
+            "radius": np.repeat(radii, theta.size),
+            "theta": np.tile(theta, len(radii)),
+            "re_y": curves.real.ravel(),
+            "im_y": curves.imag.ravel(),
         },
         metadata=make_metadata(
             "map-domains",
-            {"radii": radii, "samples_per_circle": samples_per_circle},
+            {
+                "radii": radii,
+                "samples_per_circle": samples_per_circle,
+                "closure_gap": float(np.max(np.abs(curves[:, 0] - curves[:, -1]))),
+                "nesting_violations": int(np.any(np.diff(along_rays) <= 0.0, axis=1).sum()),
+            },
             timestamp,
         ),
     )
-
-
-def domain_map_closure_gap(fig: FigureData) -> float:
-    """Worst first-vs-last point distance over the emitted curves."""
-    radius = np.asarray(fig.columns["radius"])
-    re_y = np.asarray(fig.columns["re_y"])
-    im_y = np.asarray(fig.columns["im_y"])
-    worst = 0.0
-    for r in np.unique(radius):
-        mask = radius == r
-        gap = math.hypot(
-            re_y[mask][0] - re_y[mask][-1], im_y[mask][0] - im_y[mask][-1]
-        )
-        worst = max(worst, gap)
-    return worst
-
-
-def domain_map_nesting_violations(rays: int = 360, radii_count: int = 20) -> int:
-    """Count rays along which |y| fails to grow with the circle radius.
-
-    Nested non-crossing images follow from |y| being radially monotone
-    along every direction in the z-plane; sampled at ``rays`` angles and
-    ``radii_count`` radii up to 1.
-    """
-    violations = 0
-    radii = np.linspace(1.0 / radii_count, 1.0, radii_count)
-    for j in range(rays):
-        theta = 2.0 * math.pi * j / rays
-        direction = complex(math.cos(theta), math.sin(theta))
-        if direction == -1.0:
-            continue  # the pole direction reaches infinity, trivially monotone
-        magnitudes = [abs(map_to_y(r * direction)) for r in radii]
-        if np.any(np.diff(magnitudes) <= 0.0):
-            violations += 1
-    return violations

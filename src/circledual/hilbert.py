@@ -39,8 +39,9 @@ class Basis(Enum):
     ONTOLOGICAL = "ontological"
 
 
-def _as_readonly_complex(values, expected_ndim):
-    arr = np.array(values, dtype=np.complex128, copy=True)
+def _as_readonly_complex(values, expected_ndim, copy=True):
+    """A read-only complex copy of values; with copy=False a complex array is frozen in place."""
+    arr = (np.array if copy else np.asarray)(values, dtype=np.complex128)
     if arr.ndim != expected_ndim:
         raise DimensionError(f"expected {expected_ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)

@@ -27,7 +27,7 @@ first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -43,16 +43,21 @@ _ELEMENT_KINDS = ("a", "adag", "x", "p")
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense N x N complex operator tagged with its basis."""
+    """Dense N x N complex operator tagged with its basis.
+
+    The entries are a read-only copy of the array given, except that the
+    builders here pass ``owned=True`` to freeze a fresh array in place.
+    """
 
     basis: Basis
     entries: np.ndarray
     hermitian: bool = False
+    owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, owned):
         if not isinstance(self.basis, Basis):
             raise BasisError(f"not a Basis tag: {self.basis!r}")
-        arr = _as_readonly_complex(self.entries, 2)
+        arr = _as_readonly_complex(self.entries, 2, copy=not owned)
         if arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"operator must be square, got {arr.shape}")
         object.__setattr__(self, "entries", arr)
@@ -98,7 +103,8 @@ def _hermitian_part(a: np.ndarray, which: str) -> np.ndarray:
 def _from_lowering(which: str, dim: int, basis: Basis, lowering) -> OperatorMatrix:
     """a, adag, x or p in basis from ``lowering(dim)``, checked before allocating.
 
-    a is released before the result is copied, so two dense arrays are live at most.
+    a is released once x, p or a^H is formed from it, so two dense arrays
+    are live at most.
     """
     if which not in _ELEMENT_KINDS:
         raise DomainError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
@@ -107,11 +113,11 @@ def _from_lowering(which: str, dim: int, basis: Basis, lowering) -> OperatorMatr
     check_dense_size(dim, dim, "the operator")
     a = lowering(dim)
     if which == "a":
-        return OperatorMatrix(basis, a)
+        return OperatorMatrix(basis, a, owned=True)
     hermitian = which != "adag"
     out = _hermitian_part(a, which) if hermitian else np.conjugate(a.T)
     del a
-    return OperatorMatrix(basis, out, hermitian=hermitian)
+    return OperatorMatrix(basis, out, hermitian=hermitian, owned=True)
 
 
 def _level_lowering(dim: int) -> np.ndarray:
@@ -134,8 +140,8 @@ def build_hamiltonian(dim: int, omega: float = 1.0) -> OperatorMatrix:
     check_dense_size(dim, dim, "the operator")
     if not (omega > 0.0 and math.isfinite(omega)):
         raise DomainError(f"omega must be positive and finite, got {omega}")
-    levels = np.arange(dim, dtype=np.float64) * omega
-    return OperatorMatrix(Basis.ENERGY, np.diag(levels).astype(np.complex128), hermitian=True)
+    levels = np.arange(dim, dtype=np.complex128) * omega
+    return OperatorMatrix(Basis.ENERGY, np.diag(levels), hermitian=True, owned=True)
 
 
 def conjugate_to_ontological(op: OperatorMatrix) -> OperatorMatrix:
@@ -147,7 +153,7 @@ def conjugate_to_ontological(op: OperatorMatrix) -> OperatorMatrix:
     if op.basis is not Basis.ENERGY:
         raise BasisError("operator is not in the energy basis")
     out = to_sites(_to_levels(op.entries).T).T
-    return OperatorMatrix(Basis.ONTOLOGICAL, out, hermitian=op.hermitian)
+    return OperatorMatrix(Basis.ONTOLOGICAL, out, hermitian=op.hermitian, owned=True)
 
 
 def _site_lowering(dim: int) -> np.ndarray:
@@ -185,5 +191,5 @@ def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:
     if op_a.dim != op_b.dim:
         raise DimensionError(f"dims differ: {op_a.dim} vs {op_b.dim}")
     return OperatorMatrix(
-        op_a.basis, op_a.entries @ op_b.entries - op_b.entries @ op_a.entries
+        op_a.basis, op_a.entries @ op_b.entries - op_b.entries @ op_a.entries, owned=True
     )

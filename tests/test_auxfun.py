@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from circledual import (
     DomainError,
     KERNEL_GUARD,
     NearSingularityError,
+    PoleError,
     angle_kernel,
     li_three_halves,
     li_three_halves_circle,
     li_three_halves_sheet2,
+    map_to_y,
     reduce_angle,
     sqrt_series,
     sqrt_series_disk,
@@ -255,8 +258,8 @@ def test_kernel_near_singularity_guard():
 def test_kernel_route_disagreement_raises(monkeypatch, tmp_path, capsys):
     """A check off by 1e-9 relative breaks the 1e-12 |g| agreement bound."""
     exact = auxfun._hurwitz_zeta_three_halves
+    expansion = angle_kernel(2.0).value
     monkeypatch.setattr(auxfun, "_hurwitz_zeta_three_halves", lambda a: exact(a) * (1.0 + 1e-9))
-    expansion = auxfun._branch_point_series(2j, 2).value
     with pytest.raises(ConvergenceError) as info:
         angle_kernel(2.0)
     assert info.value.best_estimate == expansion
@@ -421,3 +424,126 @@ def test_expansion_matches_mpmath_oracle():
             assert gap <= res.error, (name, arg, gap, res.error)
             if 8 * sys.float_info.epsilon * abs(exact) <= 1e-12:
                 assert gap <= 1e-12, (name, arg, gap)
+
+
+# ---------------------------------------------------------------------------
+# the array contract: one point or a batch, on the same route
+
+
+def _disk_batch():
+    """|z| straddling 1/2, z = 0 and |z| = 1, at a spread of arguments."""
+    moduli = [0.0, 0.3, 0.5, np.nextafter(0.5, 1.0), 0.51, 0.9, 0.999, 1.0]
+    return np.array([m * cmath.exp(1j * t) for m in moduli for t in (0.0, 1.0, -2.5, math.pi)])
+
+
+BATCHES = {
+    "F": (li_three_halves, _disk_batch()),
+    "G": (sqrt_series_disk, _disk_batch()[np.abs(_disk_batch()) < 1.0]),
+    "F2": (li_three_halves_sheet2, 1.0 / _disk_batch()[_disk_batch() != 0] * (1.0 + 1e-9)),
+    "G2": (sqrt_series_sheet2, 1.0 / _disk_batch()[_disk_batch() != 0] * (1.0 + 1e-9)),
+    "f": (li_three_halves_circle, np.array([0.0, 1e-3, -0.7, 2.9, math.pi, -math.pi, 7.0, 1e300])),
+    "g": (angle_kernel, np.array([1e-3, -0.7, 2.9, math.pi, -math.pi, -3.0, 7.0, -1e5])),
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", list(BATCHES))
+def test_batch_equals_pointwise_bit_for_bit(name):
+    evaluate, points = BATCHES[name]
+    batch = evaluate(points.reshape(-1, 2))
+    singles = [evaluate(p) for p in points]
+    assert batch.value.shape == batch.error.shape == (points.size // 2, 2)
+    assert all(isinstance(s.value, np.complexfloating) and np.ndim(s.error) == 0 for s in singles)
+    assert np.array_equal(_bits(batch.value.ravel()), _bits([s.value for s in singles]))
+    assert np.array_equal(_bits(batch.error.ravel()), _bits([s.error for s in singles]))
+    assert type(batch.terms) is int and batch.terms == sum(s.terms for s in singles)
+
+
+def test_partial_sum_and_map_batches_equal_pointwise_bit_for_bit():
+    points = _disk_batch() * 1.7
+    for evaluate in (lambda z: sqrt_series(40, z), map_to_y):
+        batch = evaluate(points)
+        assert np.array_equal(_bits(batch), _bits([evaluate(p) for p in points]))
+
+
+def test_batch_larger_than_a_block_equals_pointwise():
+    rng = np.random.default_rng(8)
+    count = auxfun._BLOCK + 3
+    phi = rng.uniform(-math.pi, math.pi, count)
+    z = 0.99 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * math.pi * rng.uniform(size=count))
+    for evaluate, points in ((li_three_halves_circle, phi), (sqrt_series_disk, z)):
+        batch = evaluate(points)
+        singles = [evaluate(p) for p in points]
+        assert np.array_equal(_bits(batch.value), _bits([s.value for s in singles]))
+        assert np.array_equal(_bits(batch.error), _bits([s.error for s in singles]))
+
+
+def test_circle_values_are_exact_conjugates_in_a_batch():
+    phi = np.random.default_rng(4).uniform(1e-3, 3.1, 2000)
+    for evaluate in (li_three_halves_circle, angle_kernel):
+        plus, minus = evaluate(phi), evaluate(-phi)
+        assert np.array_equal(minus.value, np.conj(plus.value))
+        assert np.array_equal(minus.error, plus.error)
+
+
+def _canonical_remainder(phi):
+    r = math.remainder(phi, 2.0 * math.pi)
+    return math.pi if r == -math.pi else r
+
+
+def test_reduce_angle_is_math_remainder_bit_for_bit():
+    rng = np.random.default_rng(6)
+    magnitudes = 10.0 ** rng.uniform(-300, 300, 5000)
+    edges = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, 1e300, -1e300,
+             np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0), 5e-324]
+    phi = np.concatenate([magnitudes * rng.choice([-1.0, 1.0], 5000), rng.uniform(-20, 20, 5000), edges])
+    expected = np.array([_canonical_remainder(p) for p in phi])
+    assert np.array_equal(reduce_angle(phi).view(np.uint64), expected.view(np.uint64))
+    assert all(reduce_angle(p) == _canonical_remainder(p) for p in edges)
+
+
+@pytest.mark.parametrize(
+    "evaluate, points, error",
+    [
+        (li_three_halves, [0.1, 0.2j, 1.2, 0.3], DomainError),
+        (sqrt_series_disk, [0.1, 0.9j, -1.0, 0.3], DomainError),
+        (li_three_halves_sheet2, [2.0, 3j, 0.5, 4.0], DomainError),
+        (sqrt_series_sheet2, [2.0, 3j, 1.0, 4.0], DomainError),
+        (angle_kernel, [1.0, 2.0, 2 * math.pi, 3.0], NearSingularityError),
+        (li_three_halves_circle, [1.0, 2.0, math.inf, 3.0], DomainError),
+        (map_to_y, [0.5, 1j, -1.0, 0.2], PoleError),
+    ],
+)
+def test_bad_point_in_a_batch_is_named(evaluate, points, error):
+    with pytest.raises(error, match="at index 2$"):
+        evaluate(np.array(points))
+
+
+def test_route_disagreement_in_a_batch_names_the_point(monkeypatch):
+    phi = np.array([0.5, 1.0, 2.0, 2.5])
+    expansion = angle_kernel(2.0).value
+    exact = auxfun._hurwitz_zeta_three_halves
+    off = 2.0 / (2.0 * math.pi)  # zeta(3/2, x) at the third angle only
+    monkeypatch.setattr(
+        auxfun, "_hurwitz_zeta_three_halves", lambda a: exact(a) * np.where(a == off, 1.0 + 1e-9, 1.0)
+    )
+    with pytest.raises(ConvergenceError, match="index 2$") as info:
+        angle_kernel(phi)
+    assert info.value.best_estimate == expansion
+    assert info.value.error_estimate == abs(expansion - auxfun._kernel_hurwitz(2.0))
+    assert info.value.terms == phi.size * (64 + 2 * (16 + 2 + 8))
+
+
+def test_circle_batch_memory_is_bounded():
+    """2^20 angles in blocks: an unblocked 64-column power table alone would take 1 GiB."""
+    phi = np.linspace(-math.pi, math.pi, 1 << 20)
+    tracemalloc.start()
+    try:
+        li_three_halves_circle(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 20

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledual import ConvergenceError, ZeroFindingError, auxfun, cli, dynamics, operators
+from circledual import ConvergenceError, ZeroFindingError, auxfun, cli, dynamics, figdata, operators
 from circledual.cli import _fail, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -115,6 +115,44 @@ def test_small_radius_curves_shrink_like_4r(tmp_path):
     _, data = read_csv(out)
     magnitudes = np.hypot(data[:, 2], data[:, 3])
     assert np.max(np.abs(magnitudes - 4.0 * 0.001)) < 1e-4
+
+
+def test_even_sample_count_passes_next_to_the_pole(tmp_path):
+    """theta = pi rounds to z = -1 + 1.2e-16i, beside the pole z = -1: a finite, huge y."""
+    out = tmp_path / "domains.csv"
+    assert main(["map-domains", "--radii", "1", "--samples", "8", "--out", str(out)]) == 0
+    _, data = read_csv(out)
+    at_pi = data[data[:, 1] == math.pi]
+    assert at_pi.shape[0] == 1 and np.all(np.isfinite(at_pi))
+    assert math.hypot(at_pi[0, 2], at_pi[0, 3]) > 1e30
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (figdata, "li_three_halves_circle", ["f-curve", "--samples", "720"]),
+        (figdata, "map_to_y", ["map-domains", "--radii", "0.05:1:0.05", "--samples", "61"]),
+        (cli, "li_three_halves_circle", ["auxfun-eval", "--function", "f", "--phi=0.1,-2,3"]),
+        (cli, "angle_kernel", ["auxfun-eval", "--function", "g", "--phi=0.1,-2,3"]),
+        (cli, "sqrt_series", ["auxfun-eval", "--function", "GN", "--n", "9", "--z=0.1:0,2:1"]),
+        (cli, "li_three_halves", ["auxfun-eval", "--function", "F", "--z=0.1:0,0.6:0.7,1:0"]),
+        (cli, "sqrt_series_disk", ["auxfun-eval", "--function", "G", "--z=0.1:0,0.6:0.7"]),
+        (cli, "li_three_halves_sheet2", ["auxfun-eval", "--function", "F2", "--z=3:0,0.6:0.9"]),
+        (cli, "sqrt_series_sheet2", ["auxfun-eval", "--function", "G2", "--z=3:0,0.6:0.9"]),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_one_evaluator_call_per_artifact(tmp_path, monkeypatch, module, name, argv):
+    calls = []
+    evaluate = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    assert main([*argv, "--out", str(tmp_path / "artifact")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", ["x", "p"])

@@ -12,8 +12,6 @@ from circledual import DimensionError, DomainError, cli, figdata
 from circledual.figdata import (
     _ROW_BLOCK,
     FigureData,
-    domain_map_closure_gap,
-    domain_map_nesting_violations,
     emit_domain_map,
     emit_f_curve,
     emit_spectrum,
@@ -49,7 +47,7 @@ def test_f_curve_grid_covers_closed_range():
 
 def test_domain_map_closure_and_endpoint():
     fig = emit_domain_map([0.5, 1.0], samples_per_circle=61)
-    assert domain_map_closure_gap(fig) <= 1e-12
+    assert fig.metadata["parameters"]["closure_gap"] <= 1e-12
     radius = fig.columns["radius"]
     re_y = fig.columns["re_y"]
     first_unit_row = np.flatnonzero(radius == 1.0)[0]
@@ -66,7 +64,7 @@ def test_domain_map_validation():
 
 
 def test_domain_map_nesting_holds():
-    assert domain_map_nesting_violations(rays=360, radii_count=20) == 0
+    assert emit_domain_map([0.5]).metadata["parameters"]["nesting_violations"] == 0
 
 
 def test_figure_data_validation():

@@ -97,6 +97,33 @@ def test_level_matrix_and_comparison_peak_memory(kind):
         assert peak <= arrays * 1024 * 1024 * 16, build.__name__
 
 
+def test_caller_arrays_are_copied():
+    """An array from outside is copied: changing it afterwards leaves the operator as it was."""
+    entries = np.eye(3, dtype=np.complex128)
+    op = OperatorMatrix(Basis.ENERGY, entries, hermitian=True)
+    entries[0, 1] = 5.0
+    assert op.entries[0, 1] == 0.0 and not op.entries.flags.writeable
+    assert not np.shares_memory(op.entries, entries)
+
+
+@pytest.mark.parametrize("kind, arrays", [("a", 1.1), ("adag", 2.05), ("x", 2.05), ("p", 2.05)])
+def test_builders_hand_over_their_array_without_a_copy(kind, arrays):
+    """At N = 1024 a takes one dense array, not two (the build and its copy).
+
+    a^H, x and p need a and the result at once: two arrays, and no copy
+    after a is released (2.13 arrays before).  The comparison keeps its
+    three: the level-basis operator and the two FFT passes.
+    """
+    for make, limit in ((level_matrix, arrays), (ontological_matrix, arrays), (compare_matrix_elements, 3.05)):
+        tracemalloc.start()
+        try:
+            make(kind, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * 1024 * 1024 * 16, make.__name__
+
+
 def test_hamiltonian_values():
     h = build_hamiltonian(4)
     assert np.array_equal(np.diag(h.entries).real, [0.0, 1.0, 2.0, 3.0])
