@@ -4,13 +4,13 @@ Eight subcommands: duality-check, spectrum, matrix-elements, auxfun-eval,
 zeros, map-domains, f-curve, evolve.  Each writes a CSV or JSON artifact
 (column schemas in FORMATS.md) and exits 0 on success, 1 with a one-line
 JSON error report on any invariant violation, 2 on unusable flags.  Output
-is byte-identical across runs for identical flags and seed; pass
---timestamp to stamp artifacts at the cost of that identity.
+is byte-identical across runs for identical flags and seed.
 
-The handlers parse flags, call the library and serialise its results:
-``matrix-elements`` calls ``operators.compare_matrix_elements`` and
-``evolve`` calls ``dynamics.evolve_report``.  The module imports no private
-library name.
+Each handler calls the library and returns the artifact with its failed
+verdict, if any, against a fixed contract (``DUALITY_TOL``, ``ELEMENT_TOL``,
+``CLOSURE_TOL``); only ``main`` writes artifacts and turns a failed verdict
+into exit 1.  ``matrix-elements`` calls ``operators.compare_matrix_elements``
+and ``evolve`` ``dynamics.evolve_report``; no private library name is imported.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .operators import compare_matrix_elements
 
 DUALITY_TOL = 1e-10
 ELEMENT_TOL = 1e-10
+CLOSURE_TOL = 1e-12
 MAX_RADII = 10_000
 
 
@@ -142,14 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_format):
         p.add_argument("--out", required=True, help="output artifact path")
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
-        p.add_argument("--timestamp", default=None, help="optional metadata stamp (breaks byte determinism)")
 
     p = sub.add_parser("duality-check", help="stroboscopic transport theorem on random states")
     p.add_argument("--n", type=_positive_int, default=11)
     p.add_argument("--omega", type=_positive_float, default=1.0)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--tolerance", type=_positive_float, default=DUALITY_TOL)
     common(p, "json")
     p.set_defaults(handler=_cmd_duality_check)
 
@@ -162,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix-elements", help="circle-site matrices of a, adag, x, p")
     p.add_argument("--n", type=_positive_int, default=64)
     p.add_argument("--which", choices=("a", "adag", "x", "p", "all"), default="all")
-    p.add_argument("--tolerance", type=_positive_float, default=ELEMENT_TOL)
     common(p, "csv")
     p.set_defaults(handler=_cmd_matrix_elements)
 
@@ -227,14 +225,15 @@ def _fail(command: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except CircleDualError as exc:
+        fig, failure = args.handler(args)
+        write_figure(fig, args.out, args.format)
+    except (CircleDualError, OSError) as exc:
         return _fail(args.command, exc)
-    except OSError as exc:
-        return _fail(args.command, exc)
+    if failure is not None:
+        return _fail(args.command, CircleDualError(failure))
+    return 0
 
 
 def entrypoint() -> None:
@@ -242,16 +241,19 @@ def entrypoint() -> None:
 
 
 # --------------------------------------------------------------------------
-# handlers
+# handlers: each returns the artifact and its failed verdict (None if it holds)
+
+Outcome = tuple[FigureData, "str | None"]
 
 
-def _cmd_duality_check(args) -> int:
+def _cmd_duality_check(args) -> Outcome:
     check_dense_size(args.trials, args.n, "the batch of states")
     rng = np.random.default_rng(args.seed)
     states = np.array([random_state(args.n, rng).amplitudes for _ in range(args.trials)])
     ks = np.arange(2 * args.n + 1)
     per_k = duality_deviations(states, ks)
     overall = float(per_k.max())
+    passed = overall <= DUALITY_TOL
     fig = FigureData(
         columns={"k": ks, "max_deviation": per_k},
         metadata=make_metadata(
@@ -261,31 +263,21 @@ def _cmd_duality_check(args) -> int:
                 "omega": args.omega,
                 "trials": args.trials,
                 "seed": args.seed,
-                "tolerance": args.tolerance,
+                "tolerance": DUALITY_TOL,
                 "max_deviation": overall,
-                "passed": bool(overall <= args.tolerance),
+                "passed": passed,
             },
-            args.timestamp,
         ),
     )
-    write_figure(fig, args.out, args.format)
-    if overall > args.tolerance:
-        return _fail(
-            "duality-check",
-            CircleDualError(
-                f"max deviation {overall:.3e} exceeds tolerance {args.tolerance:.1e}"
-            ),
-        )
-    return 0
+    failure = f"max deviation {overall:.3e} exceeds tolerance {DUALITY_TOL:.1e}"
+    return fig, None if passed else failure
 
 
-def _cmd_spectrum(args) -> int:
-    fig = emit_spectrum(args.n, args.omega, args.timestamp)
-    write_figure(fig, args.out, args.format)
-    return 0
+def _cmd_spectrum(args) -> Outcome:
+    return emit_spectrum(args.n, args.omega), None
 
 
-def _cmd_matrix_elements(args) -> int:
+def _cmd_matrix_elements(args) -> Outcome:
     kinds = ("a", "adag", "x", "p") if args.which == "all" else (args.which,)
     elements: dict[str, np.ndarray] = {}
     deviations = {}
@@ -298,6 +290,7 @@ def _cmd_matrix_elements(args) -> int:
     sites = np.arange(args.n)
     columns = {"s1": np.repeat(sites, args.n), "s2": np.tile(sites, args.n), **elements}
     worst = max(deviations.values())
+    passed = bool(worst <= ELEMENT_TOL)
     fig = FigureData(
         columns=columns,
         metadata=make_metadata(
@@ -305,26 +298,17 @@ def _cmd_matrix_elements(args) -> int:
             {
                 "n": args.n,
                 "which": args.which,
-                "tolerance": args.tolerance,
+                "tolerance": ELEMENT_TOL,
                 **deviations,
-                "passed": bool(worst <= args.tolerance),
+                "passed": passed,
             },
-            args.timestamp,
         ),
     )
-    write_figure(fig, args.out, args.format)
-    if worst > args.tolerance:
-        return _fail(
-            "matrix-elements",
-            CircleDualError(
-                f"closed form deviates from conjugation by {worst:.3e} "
-                f"> {args.tolerance:.1e}"
-            ),
-        )
-    return 0
+    failure = f"closed form deviates from conjugation by {worst:.3e} > {ELEMENT_TOL:.1e}"
+    return fig, None if passed else failure
 
 
-def _cmd_auxfun_eval(args) -> int:
+def _cmd_auxfun_eval(args) -> Outcome:
     fn = args.function
     if fn in ("f", "g"):
         if not args.phi:
@@ -352,15 +336,10 @@ def _cmd_auxfun_eval(args) -> int:
         columns = {"re_z": z.real, "im_z": z.imag}
         params = {"function": fn, "n": args.n, "z": [[p.real, p.imag] for p in args.z]}
     columns.update(re=value.real, im=value.imag, error_estimate=error)
-    fig = FigureData(
-        columns=columns,
-        metadata=make_metadata("auxfun-eval", params, args.timestamp),
-    )
-    write_figure(fig, args.out, args.format)
-    return 0
+    return FigureData(columns=columns, metadata=make_metadata("auxfun-eval", params)), None
 
 
-def _cmd_zeros(args) -> int:
+def _cmd_zeros(args) -> Outcome:
     zero_set = sqrt_series_zeros(args.n)
     roots = zero_set.roots
     coeffs = np.sqrt(np.arange(1, args.n + 1, dtype=np.float64))
@@ -381,30 +360,25 @@ def _cmd_zeros(args) -> int:
                 "coeff_sum": float(np.sum(coeffs)),
                 "near_circle_fraction": zero_set.near_circle_fraction(),
             },
-            args.timestamp,
         ),
     )
-    write_figure(fig, args.out, args.format)
-    return 0
+    return fig, None
 
 
-def _cmd_map_domains(args) -> int:
+def _cmd_map_domains(args) -> Outcome:
     radii = args.radii if args.radii is not None else [0.05 * k for k in range(1, 21)]
-    fig = emit_domain_map(radii, args.samples, args.timestamp)
+    fig = emit_domain_map(radii, args.samples)
     closure = fig.metadata["parameters"]["closure_gap"]
     violations = fig.metadata["parameters"]["nesting_violations"]
-    write_figure(fig, args.out, args.format)
-    if closure > 1e-12:
-        return _fail("map-domains", CircleDualError(f"curve closure gap {closure:.3e} > 1e-12"))
+    if closure > CLOSURE_TOL:
+        return fig, f"curve closure gap {closure:.3e} > {CLOSURE_TOL:.0e}"
     if violations:
-        return _fail("map-domains", CircleDualError(f"{violations} rays violate radial nesting"))
-    return 0
+        return fig, f"{violations} rays violate radial nesting"
+    return fig, None
 
 
-def _cmd_f_curve(args) -> int:
-    fig = emit_f_curve(args.samples, args.timestamp)
-    write_figure(fig, args.out, args.format)
-    return 0
+def _cmd_f_curve(args) -> Outcome:
+    return emit_f_curve(args.samples), None
 
 
 def _parse_initial_state(spec: str, n: int, seed: int):
@@ -421,7 +395,7 @@ def _parse_initial_state(spec: str, n: int, seed: int):
     return make(index, n)
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args) -> Outcome:
     state = _parse_initial_state(args.state, args.n, args.seed)
     report = evolve_report(state, args.omega, steps=args.steps, time=args.time)
     params = {
@@ -442,6 +416,4 @@ def _cmd_evolve(args) -> int:
         params.update(
             time=report.time, nearest_k=report.k, deviation_from_nearest_rotation=report.deviation
         )
-    fig = FigureData(columns=columns, metadata=make_metadata("evolve", params, args.timestamp))
-    write_figure(fig, args.out, args.format)
-    return 0
+    return FigureData(columns=columns, metadata=make_metadata("evolve", params)), None

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .auxfun import li_three_halves_circle, map_to_y
 from .errors import DimensionError, DomainError
+from .hilbert import check_dense_size
 
 
 @dataclass
@@ -49,11 +50,12 @@ class FigureData:
         return 0 if not self.columns else len(next(iter(self.columns.values())))
 
 
-def make_metadata(command: str, parameters: dict, timestamp: str | None = None) -> dict:
+def make_metadata(command: str, parameters: dict) -> dict:
+    """The metadata of every artifact; ``timestamp`` is always null, kept for the layout."""
     return {
         "command": command,
         "version": __version__,
-        "timestamp": timestamp,
+        "timestamp": None,
         "parameters": parameters,
     }
 
@@ -174,21 +176,23 @@ def write_figure(fig: FigureData, path, fmt: str) -> None:
 # figure-data producers
 
 
-def emit_spectrum(n: int, omega: float = 1.0, timestamp: str | None = None) -> FigureData:
+def emit_spectrum(n: int, omega: float = 1.0) -> FigureData:
     """Level index k against its energy k*omega, k = 0..n-1."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
+    check_dense_size(n, 1, "the spectrum")
     levels = np.arange(n)
     return FigureData(
         columns={"level": levels, "energy": levels * float(omega)},
-        metadata=make_metadata("spectrum", {"n": n, "omega": float(omega)}, timestamp),
+        metadata=make_metadata("spectrum", {"n": n, "omega": float(omega)}),
     )
 
 
-def emit_f_curve(samples: int = 720, timestamp: str | None = None) -> FigureData:
+def emit_f_curve(samples: int = 720) -> FigureData:
     """f on the closed angle range [-pi, pi], samples+1 rows inclusive."""
     if samples < 2:
         raise DimensionError(f"need at least 2 samples, got {samples}")
+    check_dense_size(samples + 1, 1, "the f curve")
     phi = -math.pi + 2.0 * math.pi * np.arange(samples + 1) / samples
     f = li_three_halves_circle(phi)
     return FigureData(
@@ -196,7 +200,6 @@ def emit_f_curve(samples: int = 720, timestamp: str | None = None) -> FigureData
         metadata=make_metadata(
             "f-curve",
             {"samples": samples, "max_error_estimate": float(np.max(f.error))},
-            timestamp,
         ),
     )
 
@@ -207,9 +210,7 @@ _NESTING_RAYS = np.exp(2j * np.pi * np.arange(360) / 360)
 _NESTING_RADII = np.linspace(0.05, 1.0, 20)
 
 
-def emit_domain_map(
-    radii, samples_per_circle: int = 721, timestamp: str | None = None
-) -> FigureData:
+def emit_domain_map(radii, samples_per_circle: int = 721) -> FigureData:
     """Images of the circles |z| = r under the two-sheet map, one closed curve per radius.
 
     Each curve is sampled at samples_per_circle+1 angles with the endpoint
@@ -228,6 +229,7 @@ def emit_domain_map(
         raise DomainError(f"radii must lie in (0, 1], got {radii}")
     if samples_per_circle < 8:
         raise DimensionError(f"need >= 8 samples per circle, got {samples_per_circle}")
+    check_dense_size(len(radii), samples_per_circle + 1, "the domain map")
     theta = 2.0 * math.pi * np.arange(samples_per_circle + 1) / samples_per_circle
     circles = np.multiply.outer(radii, np.exp(1j * theta))
     rays = np.multiply.outer(_NESTING_RAYS, _NESTING_RADII)
@@ -249,6 +251,5 @@ def emit_domain_map(
                 "closure_gap": float(np.max(np.abs(curves[:, 0] - curves[:, -1]))),
                 "nesting_violations": int(np.any(np.diff(along_rays) <= 0.0, axis=1).sum()),
             },
-            timestamp,
         ),
     )

@@ -19,7 +19,8 @@ an operator.  The library builds no dense U; ``to_sites(np.eye(N))`` is U.
 
 Dense N x N storage is capped at ``DENSE_ENTRY_CEILING`` complex entries
 (4096^2, 256 MiB); every dense constructor checks the size it is about to
-allocate against it and raises ``DimensionError`` above it.
+allocate against it and raises ``DimensionError`` above it, and so do the
+state constructors and the ``figdata`` producers for their row counts.
 """
 
 from __future__ import annotations
@@ -88,11 +89,11 @@ class StateVector:
         return self.amplitudes.size
 
 
-
 def energy_state(n: int, dim: int) -> StateVector:
     """One-hot energy eigenstate |n> in a dim-level space."""
     if not 0 <= n < dim:
         raise DimensionError(f"level {n} outside 0..{dim - 1}")
+    check_dense_size(dim, 1, "the state")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[n] = 1.0
     return StateVector(Basis.ENERGY, amps)
@@ -102,15 +103,17 @@ def ontological_state(s: int, dim: int) -> StateVector:
     """One-hot circle-site state |s> in a dim-level space."""
     if not 0 <= s < dim:
         raise DimensionError(f"site {s} outside 0..{dim - 1}")
+    check_dense_size(dim, 1, "the state")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[s] = 1.0
     return StateVector(Basis.ONTOLOGICAL, amps)
 
 
-def random_state(dim: int, rng: np.random.Generator, basis: Basis = Basis.ENERGY) -> StateVector:
-    """Normalized state with Gaussian random complex amplitudes."""
+def random_state(dim: int, rng: np.random.Generator) -> StateVector:
+    """Normalized energy-basis state with Gaussian random complex amplitudes."""
+    check_dense_size(dim, 1, "the state")
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(basis, amps / np.linalg.norm(amps))
+    return StateVector(Basis.ENERGY, amps / np.linalg.norm(amps))
 
 
 def to_ontological(state: StateVector) -> StateVector:

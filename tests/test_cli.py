@@ -257,6 +257,21 @@ def test_cli_imports_no_private_library_name():
     assert private == []
 
 
+def test_only_main_writes_artifacts_and_fails_verdicts():
+    """The handlers return the artifact and the verdict; one path writes and exits."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("write_figure", "_fail")
+    }
+    assert callers == {"main"}
+
+
 def test_auxfun_eval_f_and_g(tmp_path):
     out = tmp_path / "aux.csv"
     code = main(["auxfun-eval", "--function", "f", "--phi", "0,3.141592653589793", "--out", str(out)])
@@ -341,17 +356,58 @@ def test_bad_flags_exit_two():
     assert excinfo.value.code == 2
 
 
-def test_invariant_violation_exit_one(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--timestamp=now", "--tolerance=1"])
+@pytest.mark.parametrize("command", ["duality-check", "matrix-elements", "spectrum"])
+def test_retired_flags_exit_two(tmp_path, flag, command):
+    """The contracts are fixed and the metadata carries no stamp: neither is a flag."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, flag, "--out", str(tmp_path / "artifact")])
+    assert excinfo.value.code == 2
+
+
+def failure_report(capsys, command):
+    """The one-line JSON report of a failed verdict."""
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["status"] == "error" and report["command"] == command
+    assert report["error"] == "CircleDualError"
+    return report
+
+
+def test_invariant_violation_exit_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DUALITY_TOL", 1e-300)
     out = tmp_path / "r.json"
-    code = main(["duality-check", "--n", "5", "--trials", "5",
-                 "--tolerance", "1e-300", "--out", str(out)])
-    assert code == 1
-    report = json.loads(capsys.readouterr().out.strip())
-    assert report["status"] == "error"
-    assert report["command"] == "duality-check"
+    assert main(["duality-check", "--n", "5", "--trials", "5", "--out", str(out)]) == 1
+    failure_report(capsys, "duality-check")
     # the artifact is still written with the failing stats recorded
+    params = json.loads(out.read_text(encoding="utf-8"))["metadata"]["parameters"]
+    assert params["passed"] is False and params["tolerance"] == 1e-300
+
+
+def test_matrix_elements_verdict_failure_exit_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ELEMENT_TOL", -1.0)
+    out = tmp_path / "elements.json"
+    argv = ["matrix-elements", "--n", "16", "--which", "x", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 1
+    report = failure_report(capsys, "matrix-elements")
+    assert report["message"].startswith("closed form deviates from conjugation")
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert payload["metadata"]["parameters"]["passed"] is False
+    params = payload["metadata"]["parameters"]
+    assert params["passed"] is False and 0.0 <= params["max_deviation_x"] <= 1e-10
+    assert len(payload["columns"]["re_x"]) == 256
+
+
+def test_map_domains_closure_failure_exit_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CLOSURE_TOL", -1.0)
+    out = tmp_path / "domains.json"
+    argv = ["map-domains", "--radii", "0.5,1", "--samples", "61", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert failure_report(capsys, "map-domains")["message"].startswith("curve closure gap")
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    closure = payload["metadata"]["parameters"]["closure_gap"]
+    assert 0.0 <= closure <= 1e-12
+    assert len(payload["columns"]["radius"]) == 2 * 62
 
 
 def test_semantic_errors_exit_one(tmp_path, capsys):
@@ -363,6 +419,16 @@ def test_semantic_errors_exit_one(tmp_path, capsys):
     assert main(["spectrum", "--n", "3", "--out", str(tmp_path / "nodir" / "x.csv")]) == 1
     for line in capsys.readouterr().out.strip().split("\n"):
         assert json.loads(line)["status"] == "error"
+
+
+# artifacts and states whose row count is above the dense ceiling of 4096^2
+OVERSIZED_ROWS = [
+    ["spectrum", "--n", "10000000000000"],
+    ["f-curve", "--samples", "10000000000000"],
+    ["map-domains", "--samples", "10000000000000"],
+    *(["evolve", "--n", "10000000000000", "--steps", "1", "--state", state]
+      for state in ("random", "energy:0", "ont:0")),
+]
 
 
 @pytest.mark.parametrize(
@@ -382,6 +448,7 @@ def test_semantic_errors_exit_one(tmp_path, capsys):
         ["evolve", "--n", "4", "--steps", "1" + "0" * 400],
         ["duality-check", "--n", "200000", "--trials", "100"],
         ["matrix-elements", "--n", "4097"],
+        *OVERSIZED_ROWS,
     ],
 )
 def test_failures_never_print_a_traceback(tmp_path, argv):
@@ -400,6 +467,7 @@ def test_failures_never_print_a_traceback(tmp_path, argv):
         (["evolve", "--n", "4", "--steps", "1" + "0" * 400], 2),
         (["duality-check", "--n", "200000", "--trials", "100"], 1),
         (["matrix-elements", "--n", "4097"], 1),
+        *((argv, 1) for argv in OVERSIZED_ROWS),
     ],
 )
 def test_oversized_requests_are_refused_at_once(tmp_path, capsys, argv, code):
