@@ -61,13 +61,13 @@ from .hilbert import (
     energy_state,
     ontological_state,
     random_state,
+    random_states,
     to_energy,
     to_ontological,
 )
 from .operators import (
     OperatorMatrix,
     build_hamiltonian,
-    commutator,
     compare_matrix_elements,
     conjugate_to_ontological,
     level_matrix,

@@ -67,6 +67,7 @@ from .errors import (
     PoleError,
     ZeroFindingError,
 )
+from .hilbert import check_dense_size
 
 _TAU = 2.0 * math.pi
 
@@ -203,6 +204,7 @@ def sqrt_series(n: int, z: np.ndarray) -> np.ndarray:
     """Partial sum S_n(z) = sum_{k=1..n} sqrt(k) z^k, by Horner's rule at every point."""
     if n < 0:
         raise DimensionError(f"order must be >= 0, got {n}")
+    check_dense_size(n, z.size, "the partial sum")
     acc = np.zeros_like(z)
     # large |z| overflows to inf or nan; the writers reject such values
     with np.errstate(over="ignore", invalid="ignore"):

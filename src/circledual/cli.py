@@ -43,7 +43,7 @@ from .figdata import (
     make_metadata,
     write_figure,
 )
-from .hilbert import check_dense_size, energy_state, ontological_state, random_state
+from .hilbert import energy_state, ontological_state, random_state, random_states
 from .operators import compare_matrix_elements
 
 DUALITY_TOL = 1e-10
@@ -247,9 +247,7 @@ Outcome = tuple[FigureData, "str | None"]
 
 
 def _cmd_duality_check(args) -> Outcome:
-    check_dense_size(args.trials, args.n, "the batch of states")
-    rng = np.random.default_rng(args.seed)
-    states = np.array([random_state(args.n, rng).amplitudes for _ in range(args.trials)])
+    states = random_states(args.trials, args.n, np.random.default_rng(args.seed))
     ks = np.arange(2 * args.n + 1)
     per_k = duality_deviations(states, ks)
     overall = float(per_k.max())

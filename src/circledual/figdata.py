@@ -176,7 +176,7 @@ def write_figure(fig: FigureData, path, fmt: str) -> None:
 # figure-data producers
 
 
-def emit_spectrum(n: int, omega: float = 1.0) -> FigureData:
+def emit_spectrum(n: int, omega: float) -> FigureData:
     """Level index k against its energy k*omega, k = 0..n-1."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
@@ -188,7 +188,7 @@ def emit_spectrum(n: int, omega: float = 1.0) -> FigureData:
     )
 
 
-def emit_f_curve(samples: int = 720) -> FigureData:
+def emit_f_curve(samples: int) -> FigureData:
     """f on the closed angle range [-pi, pi], samples+1 rows inclusive."""
     if samples < 2:
         raise DimensionError(f"need at least 2 samples, got {samples}")
@@ -210,7 +210,7 @@ _NESTING_RAYS = np.exp(2j * np.pi * np.arange(360) / 360)
 _NESTING_RADII = np.linspace(0.05, 1.0, 20)
 
 
-def emit_domain_map(radii, samples_per_circle: int = 721) -> FigureData:
+def emit_domain_map(radii, samples_per_circle: int) -> FigureData:
     """Images of the circles |z| = r under the two-sheet map, one closed curve per radius.
 
     Each curve is sampled at samples_per_circle+1 angles with the endpoint

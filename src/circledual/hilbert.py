@@ -20,7 +20,7 @@ an operator.  The library builds no dense U; ``to_sites(np.eye(N))`` is U.
 Dense N x N storage is capped at ``DENSE_ENTRY_CEILING`` complex entries
 (4096^2, 256 MiB); every dense constructor checks the size it is about to
 allocate against it and raises ``DimensionError`` above it, and so do the
-state constructors and the ``figdata`` producers for their row counts.
+state constructors, for a whole batch too, and the ``figdata`` producers.
 """
 
 from __future__ import annotations
@@ -109,11 +109,25 @@ def ontological_state(s: int, dim: int) -> StateVector:
     return StateVector(Basis.ONTOLOGICAL, amps)
 
 
+def random_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(count x dim) normalized energy amplitudes, row t bit for bit the t-th of ``count``
+    consecutive ``random_state`` calls: one (count, 2, dim) draw gives each row its real,
+    then its imaginary parts, and each row norm takes the strided dots of ``np.linalg.norm``."""
+    if count < 1 or dim < 1:
+        raise DimensionError(f"need at least one state of one level, got {count} x {dim}")
+    check_dense_size(count, dim, "the batch of states")
+    draw = rng.standard_normal((count, 2, dim))
+    amps = 1j * draw[:, 1]
+    amps += draw[:, 0]
+    re, im = amps.real[:, None, :], amps.imag[:, None, :]
+    sqnorm = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
+    amps /= np.sqrt(sqnorm[:, 0])
+    return amps
+
+
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Normalized energy-basis state with Gaussian random complex amplitudes."""
-    check_dense_size(dim, 1, "the state")
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(Basis.ENERGY, amps / np.linalg.norm(amps))
+    return StateVector(Basis.ENERGY, random_states(1, dim, rng)[0])
 
 
 def to_ontological(state: StateVector) -> StateVector:

@@ -67,10 +67,6 @@ class OperatorMatrix:
                 f"> {HERMITICITY_TOL:.0e}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def hermiticity_defect(self) -> float:
         """max |M - M^H|, over row blocks so the temporaries stay small."""
         m = self.entries
@@ -182,14 +178,3 @@ def compare_matrix_elements(which: str, dim: int) -> tuple[OperatorMatrix, float
     closed = ontological_matrix(which, dim)
     gap = _max_over_row_blocks(dim, lambda rows: closed.entries[rows] - conjugated[rows])
     return closed, gap
-
-
-def commutator(op_a: OperatorMatrix, op_b: OperatorMatrix) -> OperatorMatrix:
-    """AB - BA for two operators in the same basis and dimension."""
-    if op_a.basis is not op_b.basis:
-        raise BasisError("commutator needs both operators in the same basis")
-    if op_a.dim != op_b.dim:
-        raise DimensionError(f"dims differ: {op_a.dim} vs {op_b.dim}")
-    return OperatorMatrix(
-        op_a.basis, op_a.entries @ op_b.entries - op_b.entries @ op_a.entries, owned=True
-    )

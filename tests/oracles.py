@@ -11,6 +11,8 @@ direct way, through an N x N difference-index array.  ``reference_csv`` and
 through one scalar formatter, every JSON array through one recursive
 renderer.  ``companion_roots`` finds the roots of S_n as eigenvalues of
 the companion matrix (``np.roots``) polished by one Newton step.
+``gaussian_states_one_by_one`` draws random states one per call, n real
+then n imaginary parts, each over its ``np.linalg.norm``.
 """
 
 import json
@@ -23,6 +25,15 @@ def duality_matrix(n):
     """Dense U[s, m] = exp(2j*pi*m*s/n)/sqrt(n), the phase index reduced mod n."""
     idx = np.arange(n)
     return np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n) / np.sqrt(n)
+
+
+def gaussian_states_one_by_one(trials, n, rng):
+    """trials normalized Gaussian states, one standard_normal pair and one norm per state."""
+    rows = []
+    for _ in range(trials):
+        amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rows.append(amps / np.linalg.norm(amps))
+    return np.array(rows)
 
 
 def site_operator_entries(which, n):

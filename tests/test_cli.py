@@ -66,6 +66,15 @@ def test_duality_check_report(tmp_path):
     assert meta["timestamp"] is None
 
 
+def test_duality_check_draws_its_batch_at_once(tmp_path):
+    """Many trials of a small N cost one draw, not one Python call per trial."""
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["duality-check", "--n", "2", "--trials", "200000", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+
+
 def test_f_curve_columns_and_pi_behavior(tmp_path):
     out = tmp_path / "f.csv"
     assert main(["f-curve", "--samples", "720", "--out", str(out)]) == 0
@@ -467,6 +476,7 @@ def test_failures_never_print_a_traceback(tmp_path, argv):
         (["evolve", "--n", "4", "--steps", "1" + "0" * 400], 2),
         (["duality-check", "--n", "200000", "--trials", "100"], 1),
         (["matrix-elements", "--n", "4097"], 1),
+        (["auxfun-eval", "--function", "GN", "--n", "1000000000", "--z=0.5:0"], 1),
         *((argv, 1) for argv in OVERSIZED_ROWS),
     ],
 )

@@ -22,19 +22,19 @@ from circledual.figdata import (
 
 
 def test_spectrum_basic():
-    fig = emit_spectrum(11)
+    fig = emit_spectrum(11, 1.0)
     assert fig.columns["energy"].tolist() == list(range(11))
     assert fig.metadata["command"] == "spectrum"
 
 
 def test_spectrum_single_level():
-    fig = emit_spectrum(1)
+    fig = emit_spectrum(1, 1.0)
     assert fig.columns["energy"].tolist() == [0.0]
 
 
 def test_spectrum_rejects_empty():
     with pytest.raises(DimensionError):
-        emit_spectrum(0)
+        emit_spectrum(0, 1.0)
 
 
 def test_f_curve_grid_covers_closed_range():
@@ -56,15 +56,15 @@ def test_domain_map_closure_and_endpoint():
 
 def test_domain_map_validation():
     with pytest.raises(DomainError):
-        emit_domain_map([1.2])
+        emit_domain_map([1.2], 721)
     with pytest.raises(DimensionError):
-        emit_domain_map([])
+        emit_domain_map([], 721)
     with pytest.raises(DimensionError):
         emit_domain_map([0.5], samples_per_circle=4)
 
 
 def test_domain_map_nesting_holds():
-    assert emit_domain_map([0.5]).metadata["parameters"]["nesting_violations"] == 0
+    assert emit_domain_map([0.5], 721).metadata["parameters"]["nesting_violations"] == 0
 
 
 def test_figure_data_validation():

@@ -15,11 +15,12 @@ from circledual import (
     ontological_matrix,
     ontological_state,
     random_state,
+    random_states,
     to_energy,
     to_ontological,
 )
 from circledual.hilbert import DENSE_ENTRY_CEILING, to_sites
-from oracles import duality_matrix
+from oracles import duality_matrix, gaussian_states_one_by_one
 
 UNITARITY_TOL = 1e-12
 
@@ -74,6 +75,27 @@ def test_random_state_agrees_with_reference_matrix():
     expected = duality_matrix(n) @ state.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "trials, n",
+    [(100, 11), (1000, 2), (50, 64), (10, 512), (7, 1), (3, 4096), (300, 100), (2000, 17)],
+)
+def test_random_states_equal_consecutive_draws_bit_for_bit(trials, n):
+    """One batched draw is the stream of per-state draws: a seed keeps its states."""
+    batch = random_states(trials, n, np.random.default_rng(trials + n))
+    rng = np.random.default_rng(trials + n)
+    one_by_one = np.array([random_state(n, rng).amplitudes for _ in range(trials)])
+    reference = gaussian_states_one_by_one(trials, n, np.random.default_rng(trials + n))
+    assert batch.shape == (trials, n)
+    for rows in (one_by_one, reference):
+        assert np.array_equal(batch.view(np.float64), rows.view(np.float64))
+
+
+@pytest.mark.parametrize("trials, n", [(0, 4), (4, 0), (-1, 4)])
+def test_random_states_need_one_state_of_one_level(trials, n):
+    with pytest.raises(DimensionError):
+        random_states(trials, n, np.random.default_rng(0))
 
 
 def test_round_trip_of_basis_states():
@@ -137,6 +159,8 @@ def test_dense_map_ceiling_checked_before_allocating():
             ontological_matrix("a", 4097)
         with pytest.raises(DimensionError, match="ceiling"):
             level_matrix("a", 4097)
+        with pytest.raises(DimensionError, match="ceiling"):
+            random_states(4097, 4096, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

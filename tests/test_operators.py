@@ -6,11 +6,9 @@ import pytest
 
 from circledual import (
     Basis,
-    BasisError,
     DimensionError,
     OperatorMatrix,
     build_hamiltonian,
-    commutator,
     compare_matrix_elements,
     conjugate_to_ontological,
     level_matrix,
@@ -213,33 +211,21 @@ def test_element_index_validation():
 
 
 def test_ladder_commutator_truncation():
-    defect = commutator(level_matrix("a", 4), level_matrix("adag", 4)).entries
+    a, adag = level_matrix("a", 4).entries, level_matrix("adag", 4).entries
+    defect = a @ adag - adag @ a
     assert np.max(np.abs(defect - np.diag([1.0, 1.0, 1.0, -3.0]))) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4, 64])
 def test_xp_commutator_is_i_with_top_level_defect(n):
-    defect = commutator(level_matrix("x", n), level_matrix("p", n)).entries
+    x, p = level_matrix("x", n).entries, level_matrix("p", n).entries
+    defect = x @ p - p @ x
     expected = 1j * np.eye(n)
     expected[n - 1, n - 1] = 1j * (1.0 - n)
     assert np.max(np.abs(defect - expected)) <= 1e-10
     # restricted to the first n-1 levels the canonical value is exact
     block = defect[: n - 1, : n - 1] - 1j * np.eye(n - 1)
     assert np.max(np.abs(block)) <= 1e-12
-
-
-def test_anything_commutes_with_itself():
-    h = build_hamiltonian(6)
-    assert np.all(commutator(h, h).entries == 0.0)
-
-
-def test_commutator_mismatch_errors():
-    a4, a5 = level_matrix("a", 4), level_matrix("a", 5)
-    with pytest.raises(DimensionError):
-        commutator(a4, a5)
-    site_a = ontological_matrix("a", 4)
-    with pytest.raises(BasisError):
-        commutator(a4, site_a)
 
 
 def test_heisenberg_flow_derivative():
