@@ -34,6 +34,7 @@ from .dynamics import (
     duality_deviations,
     evolve_quantum,
     evolve_report,
+    sampled_duality_deviations,
     transport_steps,
 )
 from .errors import (

@@ -33,7 +33,7 @@ from .auxfun import (
     sqrt_series_sheet2,
     sqrt_series_zeros,
 )
-from .dynamics import duality_deviations, evolve_report
+from .dynamics import evolve_report, sampled_duality_deviations
 from .errors import CircleDualError, ConvergenceError, ZeroFindingError
 from .figdata import (
     FigureData,
@@ -43,7 +43,7 @@ from .figdata import (
     make_metadata,
     write_figure,
 )
-from .hilbert import energy_state, ontological_state, random_state, random_states
+from .hilbert import energy_state, ontological_state, random_state
 from .operators import compare_matrix_elements
 
 DUALITY_TOL = 1e-10
@@ -247,9 +247,8 @@ Outcome = tuple[FigureData, "str | None"]
 
 
 def _cmd_duality_check(args) -> Outcome:
-    states = random_states(args.trials, args.n, np.random.default_rng(args.seed))
     ks = np.arange(2 * args.n + 1)
-    per_k = duality_deviations(states, ks)
+    per_k = sampled_duality_deviations(args.trials, args.n, ks, np.random.default_rng(args.seed))
     overall = float(per_k.max())
     passed = overall <= DUALITY_TOL
     fig = FigureData(

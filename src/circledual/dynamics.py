@@ -14,8 +14,13 @@ transported rigidly:
 At step k level n gains the phase exp(-2j*pi*((n*k) mod N)/N), exact for
 every integer k, so step k depends on k only through its residue k mod N.
 ``duality_deviations`` measures the max-norm gap between the two routes
-for a batch of states, one (states x N) FFT per distinct residue; the
-contract is <= 1e-10 for every normalized state and every integer k.
+for a batch of states: each distinct residue is evaluated once, as many
+residues per (residues x states x N) FFT as fit in a block of 2^14
+entries, with the step phases gathered from one table of the N roots of
+unity.  ``sampled_duality_deviations`` draws the random states in blocks
+of about 2^18 amplitudes from one generator and keeps the running
+maximum, so its memory does not grow with the trial count.  The contract
+is <= 1e-10 for every normalized state and every integer k.
 ``evolve_report`` runs one state to a step k or to any time t.  Between
 grid times site transport is not defined at finite N, so it reports the
 gap to the nearest rotation instead of interpolating.
@@ -31,12 +36,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BasisError, DimensionError, DomainError, NormalizationError
-from .hilbert import Basis, StateVector, check_dense_size, to_energy, to_sites
+from .hilbert import Basis, StateVector, check_dense_size, random_states, to_energy, to_sites
 
 _TAU = 2.0 * math.pi
 
 WEIGHT_TOL = 1e-12
 STATE_NORM_TOL = 1e-9
+
+# complex entries per FFT of several step residues, and amplitudes per block of drawn states
+_RESIDUE_BLOCK = 2**14
+_DRAW_BLOCK = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +67,6 @@ class AngleDistribution:
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.weights.size
-
 
 def _phases(dim: int, t: float, omega: float) -> np.ndarray:
     """exp(-1j*n*omega*t) for n = 0..dim-1."""
@@ -71,10 +76,17 @@ def _phases(dim: int, t: float, omega: float) -> np.ndarray:
     return np.exp(-1j * np.arange(dim) * omega * t)
 
 
-def _step_phases(dim: int, k: int) -> np.ndarray:
-    """exp(-1j*n*omega*t) at t = 2*pi*k/(N*omega), from exact integer phase indices."""
-    n = np.arange(dim)
-    return np.exp(-2j * np.pi * ((n * (k % dim)) % dim) / dim)
+def _roots_of_unity(dim: int) -> np.ndarray:
+    """exp(-2j*pi*j/N) for j = 0..N-1."""
+    return np.exp(-2j * np.pi * np.arange(dim) / dim)
+
+
+def _step_phases(roots: np.ndarray, residues) -> np.ndarray:
+    """exp(-1j*n*omega*t) at t = 2*pi*r/(N*omega) for a residue r in 0..N-1, or one
+    row per residue of an array: the N roots of unity gathered at the exact
+    integer indices (n*r) mod N."""
+    dim = roots.size
+    return roots[np.multiply.outer(residues, np.arange(dim)) % dim]
 
 
 def evolve_quantum(state: StateVector, t: float, omega: float = 1.0) -> StateVector:
@@ -130,21 +142,53 @@ def duality_deviations(amplitudes, ks) -> np.ndarray:
     stroboscopic steps, and its Born distribution is compared against the
     k-site rotation of its initial one; entry i of the result is the
     largest gap over all states at ks[i].  Steps k and k + N give
-    bit-identical gaps, so each distinct residue k mod N is evaluated once.
+    bit-identical gaps, so each distinct residue k mod N is evaluated once,
+    and as many residues as fit in ``_RESIDUE_BLOCK`` entries share one FFT
+    (one residue per FFT once the batch alone fills the block).
     """
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] < 1:
         raise DimensionError(f"expected a (states x N) array, got shape {amps.shape}")
     trials, dim = amps.shape
     check_dense_size(trials, dim, "the batch of states")
-    residues = [operator.index(k) % dim for k in ks]
+    residues = np.array([operator.index(k) % dim for k in ks], dtype=np.int64)
     _check_norms(amps)
     initial = _site_weights(to_sites(amps))
-    gap = {}
-    for r in dict.fromkeys(residues):
-        quantum = _site_weights(to_sites(_step_phases(dim, r) * amps))
-        gap[r] = np.max(np.abs(quantum - np.roll(initial, r, axis=1)))
-    return np.array([gap[r] for r in residues])
+    asked = np.zeros(dim, dtype=bool)
+    asked[residues] = True
+    distinct = np.flatnonzero(asked)
+    roots = _roots_of_unity(dim)
+    sites = np.arange(dim)
+    per_fft = max(1, _RESIDUE_BLOCK // amps.size)
+    gap = np.empty(dim)  # by residue
+    for start in range(0, distinct.size, per_fft):
+        block = distinct[start : start + per_fft]
+        quantum = _site_weights(to_sites(_step_phases(roots, block)[:, None, :] * amps))
+        # the k-site rotation of the initial weights: site s takes the weight of site s - k
+        quantum -= np.take(initial, sites - block[:, None], axis=1, mode="wrap").swapaxes(0, 1)
+        gap[block] = np.max(np.abs(quantum), axis=(1, 2))
+    return gap[residues]
+
+
+def sampled_duality_deviations(trials: int, dim: int, ks, rng: np.random.Generator) -> np.ndarray:
+    """``duality_deviations`` over ``trials`` random states of ``dim`` levels.
+
+    The states are the rows of ``random_states(trials, dim, rng)``, drawn and
+    checked in blocks of about ``_DRAW_BLOCK`` amplitudes; consecutive draws
+    from one generator continue one stream, and the running maximum over
+    blocks is exact, so the gaps are bit for bit those of the whole batch at
+    a memory that does not grow with ``trials``.  The batch size is checked
+    against the dense ceiling before any state is drawn.
+    """
+    if trials < 1 or dim < 1:
+        raise DimensionError(f"need at least one state of one level, got {trials} x {dim}")
+    check_dense_size(trials, dim, "the batch of states")
+    per_draw = max(1, _DRAW_BLOCK // dim)
+    worst = duality_deviations(random_states(min(per_draw, trials), dim, rng), ks)
+    for start in range(per_draw, trials, per_draw):
+        states = random_states(min(per_draw, trials - start), dim, rng)
+        np.maximum(worst, duality_deviations(states, ks), out=worst)
+    return worst
 
 
 class EvolveReport(NamedTuple):
@@ -178,7 +222,8 @@ def evolve_report(state: StateVector, omega: float, *, steps=None, time=None) ->
             time = math.inf
         if not math.isfinite(time):
             raise DomainError(f"time 2*pi*k/(N*omega) is not a finite float at omega = {omega}")
-        evolved = StateVector(Basis.ENERGY, _step_phases(dim, k) * energy.amplitudes)
+        phases = _step_phases(_roots_of_unity(dim), k % dim)
+        evolved = StateVector(Basis.ENERGY, phases * energy.amplitudes)
     else:
         evolved = evolve_quantum(energy, time, omega)  # refuses a phase that is not finite
         k = round(time * dim * omega / _TAU) % dim

@@ -13,6 +13,9 @@ renderer.  ``companion_roots`` finds the roots of S_n as eigenvalues of
 the companion matrix (``np.roots``) polished by one Newton step.
 ``gaussian_states_one_by_one`` draws random states one per call, n real
 then n imaginary parts, each over its ``np.linalg.norm``.
+``duality_gaps_per_residue`` is the transport-theorem gap one residue at a
+time: its own step phases, one (states x N) FFT and an ``np.roll`` per
+distinct residue k mod N.
 """
 
 import json
@@ -34,6 +37,26 @@ def gaussian_states_one_by_one(trials, n, rng):
         amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rows.append(amps / np.linalg.norm(amps))
     return np.array(rows)
+
+
+def duality_gaps_per_residue(amplitudes, ks):
+    """Per-k max gap between evolved and rotated Born weights, one FFT per distinct k mod N."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    dim = amps.shape[1]
+    levels = np.arange(dim)
+
+    def weights(site_amplitudes):
+        squared = np.abs(site_amplitudes) ** 2
+        return squared / np.sum(squared, axis=-1, keepdims=True)
+
+    initial = weights(np.fft.ifft(amps, axis=-1, norm="ortho"))
+    residues = [k % dim for k in ks]
+    gap = {}
+    for r in dict.fromkeys(residues):
+        phases = np.exp(-2j * np.pi * ((levels * r) % dim) / dim)
+        quantum = weights(np.fft.ifft(phases * amps, axis=-1, norm="ortho"))
+        gap[r] = np.max(np.abs(quantum - np.roll(initial, r, axis=1)))
+    return np.array([gap[r] for r in residues])
 
 
 def site_operator_entries(which, n):

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +68,34 @@ def test_duality_check_report(tmp_path):
 
 
 def test_duality_check_draws_its_batch_at_once(tmp_path):
-    """Many trials of a small N cost one draw, not one Python call per trial."""
+    """Many trials of a small N cost a few block draws, not one Python call per trial."""
     out = tmp_path / "report.json"
     start = time.perf_counter()
     code = main(["duality-check", "--n", "2", "--trials", "200000", "--out", str(out)])
     assert time.perf_counter() - start < 1.0
     assert code == 0
+
+
+def test_duality_check_streams_its_trials(tmp_path, monkeypatch):
+    """Trials drawn and checked in blocks write the bytes of one whole-batch draw."""
+    argv = ["duality-check", "--n", "1", "--trials", str(2**20), "--seed", "11"]
+    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
+    assert main([*argv, "--out", str(streamed)]) == 0
+    monkeypatch.setattr(dynamics, "_DRAW_BLOCK", 2**20)
+    assert main([*argv, "--out", str(whole)]) == 0
+    assert streamed.read_bytes() == whole.read_bytes()
+
+
+def test_duality_check_memory_does_not_grow_with_trials(tmp_path):
+    """2^22 trials of N = 1 peak far below one batch-sized array (64 MiB) at 2^18-entry blocks."""
+    out = tmp_path / "wide.json"
+    tracemalloc.start()
+    try:
+        assert main(["duality-check", "--n", "1", "--trials", str(2**22), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20
 
 
 def test_f_curve_columns_and_pi_behavior(tmp_path):

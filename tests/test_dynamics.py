@@ -21,9 +21,12 @@ from circledual import (
     evolve_report,
     ontological_state,
     random_state,
+    random_states,
+    sampled_duality_deviations,
     to_ontological,
     transport_steps,
 )
+from oracles import duality_gaps_per_residue
 
 TAU = 2.0 * math.pi
 
@@ -311,8 +314,7 @@ def test_evolve_report_validation():
 
 
 def test_each_residue_evaluated_once(monkeypatch):
-    n = 16
-    states = np.array([random_state(n, np.random.default_rng(i)).amplitudes for i in range(3)])
+    """Every (residue, state) row goes through one FFT, and residues share FFTs up to 2^14 entries."""
     calls = []
     to_sites = dynamics.to_sites
 
@@ -321,10 +323,50 @@ def test_each_residue_evaluated_once(monkeypatch):
         return to_sites(amplitudes)
 
     monkeypatch.setattr(dynamics, "to_sites", counting_to_sites)
-    per_k = duality_deviations(states, range(2 * n + 1))
-    # one call for the initial weights, then one per residue 0..N-1
-    assert len(calls) == n + 1
-    assert per_k[: n + 1].tolist() == per_k[n:].tolist()
+    # one FFT for all residues, several residues per FFT, one residue per FFT
+    for n, trials in [(16, 3), (64, 1), (200, 1), (512, 1), (16, 1100)]:
+        states = random_states(trials, n, np.random.default_rng(n + trials))
+        calls.clear()
+        per_k = duality_deviations(states, range(2 * n + 1))
+        # the initial weights, then residues 0..N-1: trials rows each
+        assert sum(math.prod(shape[:-1]) for shape in calls) == trials * (n + 1)
+        assert len(calls) <= 1 + math.ceil(n * trials * n / 2**14)
+        assert per_k[: n + 1].tolist() == per_k[n:].tolist()
+
+
+@pytest.mark.parametrize(
+    "n, trials",
+    [
+        # trials x N one below, at and one above the residue block of 2^14 entries
+        (127, 129), (128, 128), (113, 145),
+        (1, 1), (1, 100), (2, 5), (8, 1), (16, 3), (64, 1), (170, 1), (512, 1),
+    ],
+)
+def test_blocked_residues_equal_the_per_residue_loop(n, trials):
+    states = random_states(trials, n, np.random.default_rng(n * trials))
+    # repeated residues, negative and huge steps, out of order
+    ks = [*range(2 * n + 1), 5, -3, -(10**18) - 1, 10**18, 2 * n + 5, 0]
+    blocked = duality_deviations(states, ks)
+    assert np.array_equal(blocked, duality_gaps_per_residue(states, ks))
+    assert np.max(blocked) <= 1e-10
+
+
+def test_streamed_trials_equal_the_whole_batch(monkeypatch):
+    """Blocks of draws from one generator give the whole batch's gaps bit for bit."""
+    n, trials = 7, 9999
+    whole = duality_deviations(random_states(trials, n, np.random.default_rng(3)), range(2 * n + 1))
+    monkeypatch.setattr(dynamics, "_DRAW_BLOCK", 2**10)  # 146 states a block, the last one short
+    streamed = sampled_duality_deviations(trials, n, range(2 * n + 1), np.random.default_rng(3))
+    assert np.array_equal(streamed, whole)
+
+
+def test_sampled_batch_checked_before_any_draw():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for trials, n in [(4097, 4096), (0, 4), (4, 0)]:
+        with pytest.raises(DimensionError):
+            sampled_duality_deviations(trials, n, [1], rng)
+    assert rng.bit_generator.state == before
 
 
 def test_batch_validation():
