@@ -20,7 +20,6 @@ from .auxfun import (
     li_three_halves_circle,
     li_three_halves_sheet2,
     map_to_y,
-    map_to_z,
     reduce_angle,
     sqrt_series,
     sqrt_series_disk,

@@ -29,13 +29,13 @@ which shares no table and no series with it, checks every g at run time:
 g = Gamma(3/2) (2 pi)^(-3/2) [e^{3 pi i/4} zeta(3/2, x) + e^{-3 pi i/4}
 zeta(3/2, 1 - x)] for x = phi / (2 pi) in (0, 1).
 
-Every evaluator except ``map_to_z`` takes one point (an angle for f and g)
-or an array of points of any shape, and returns per-point values and error
-estimates in that shape; one point is a batch of one on the same numpy
-route and comes back as numpy scalars, so its bits do not depend on its
-batch.  The series are row sums over power tables built ``_BLOCK`` points
-at a time.  A point outside a domain raises the usual error naming its
-index in the flattened batch.
+Every evaluator takes one point (an angle for f and g) or an array of
+points of any shape, and returns per-point values and error estimates in
+that shape; one point is a batch of one on the same numpy route and comes
+back as numpy scalars, so its bits do not depend on its batch.  The series
+are row sums over power tables built ``_BLOCK`` points at a time.  A point
+outside a domain raises the usual error naming its index in the flattened
+batch.
 
 The analytic continuation beyond the circle lives on a double cover joined
 along the cut [1, inf).  The coordinate change
@@ -43,14 +43,13 @@ along the cut [1, inf).  The coordinate change
     y = 4 z / (1 + z)**2,    z = y / (1 + sqrt(1 - y))**2   (first sheet)
 
 maps both sheets onto one y-plane; the second sheet is z -> 1/z, and the
-series on it is the same sum in 1/z.  ``map_to_z`` uses the cancellation-
-free algebraic form above rather than the textbook -1 + (2/y)(1 -+ sqrt)
-variant, which loses precision for small |y|.
+series on it is the same sum in 1/z.  Only the forward map ``map_to_y``
+is library code; the tests invert it with the cancellation-free algebraic
+form above (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import sys
@@ -390,33 +389,6 @@ def map_to_y(z: np.ndarray) -> np.ndarray:
     """y = 4 z / (1 + z)**2; undefined at the pole z = -1."""
     _reject(z == -1.0, PoleError, "map has a pole at z = -1", z)
     return 4.0 * z / (1.0 + z) ** 2
-
-
-def map_to_z(y: complex, sheet: int = 1) -> complex:
-    """Invert y = 4 z / (1 + z)**2 onto the requested sheet.
-
-    The stable algebraic forms are z = y / (1 + w)**2 on sheet 1 and
-    z = (1 + w)**2 / y on sheet 2, with w the principal sqrt(1 - y); the
-    two are exact reciprocals.  The principal branch puts the cut on real
-    y > 1: approach it with an explicit +-0j imaginary part to choose a
-    side.  y = 0 maps to z = 0 on sheet 1 and to infinity on sheet 2.
-    """
-    if sheet not in (1, 2):
-        raise DomainError(f"sheet must be 1 or 2, got {sheet}")
-    y = complex(y)
-    if y == 0:
-        if sheet == 1:
-            return 0j
-        raise PoleError("sheet-2 image of y = 0 is the point at infinity")
-    # build 1 - y preserving the sign of -y.imag so +-0j selects the cut side
-    one_minus = complex(1.0 - y.real, -y.imag)
-    w = cmath.sqrt(one_minus)
-    if sheet == 1:
-        return y / (1.0 + w) ** 2
-    z = (1.0 + w) ** 2 / y
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise PoleError(f"sheet-2 image of y = {y!r} overflows double range")
-    return z
 
 
 # --------------------------------------------------------------------------

@@ -11,11 +11,19 @@ verdict, if any, against a fixed contract (``DUALITY_TOL``, ``ELEMENT_TOL``,
 ``CLOSURE_TOL``); only ``main`` writes artifacts and turns a failed verdict
 into exit 1.  ``matrix-elements`` calls ``operators.compare_matrix_elements``
 and ``evolve`` ``dynamics.evolve_report``; no private library name is imported.
+
+``main(argv)`` may be called any number of times in one process: it parses
+with one parser, built on the first call and kept for the life of the
+process, and no call leaves state behind for the next.  That parser holds
+the ``_cmd_*`` handlers themselves, so patching a ``_cmd_*`` name after the
+first call has no effect; the handlers look up the library functions and
+the tolerances at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -132,7 +140,9 @@ def _complex_list(text: str) -> list[complex]:
     return points
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; never handed out, since callers share it."""
     parser = argparse.ArgumentParser(
         prog="circledual",
         description="Verification suites and figure data for the oscillator/circle correspondence.",
@@ -225,7 +235,7 @@ def _fail(command: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         fig, failure = args.handler(args)
         write_figure(fig, args.out, args.format)

@@ -16,12 +16,18 @@ then n imaginary parts, each over its ``np.linalg.norm``.
 ``duality_gaps_per_residue`` is the transport-theorem gap one residue at a
 time: its own step phases, one (states x N) FFT and an ``np.roll`` per
 distinct residue k mod N.
+``map_to_z`` inverts the library's sheet map y = 4 z / (1 + z)**2 onto
+either sheet, one point at a time in cmath; it raises the library's error
+types, so a test can expect the same errors from both directions.
 """
 
+import cmath
 import json
 import math
 
 import numpy as np
+
+from circledual.errors import DomainError, PoleError
 
 
 def duality_matrix(n):
@@ -160,3 +166,31 @@ def companion_roots(n):
     safe = slopes != 0
     roots[safe] -= np.polyval(coeffs, roots[safe]) / slopes[safe]
     return roots
+
+
+def map_to_z(y, sheet=1):
+    """Invert y = 4 z / (1 + z)**2 onto the requested sheet.
+
+    The stable algebraic forms are z = y / (1 + w)**2 on sheet 1 and
+    z = (1 + w)**2 / y on sheet 2, with w the principal sqrt(1 - y); the
+    two are exact reciprocals, and neither cancels for small |y| the way
+    the textbook -1 + (2/y)(1 -+ w) does.  The principal branch puts the
+    cut on real y > 1: approach it with an explicit +-0j imaginary part to
+    choose a side.  y = 0 maps to z = 0 on sheet 1 and to infinity on sheet 2.
+    """
+    if sheet not in (1, 2):
+        raise DomainError(f"sheet must be 1 or 2, got {sheet}")
+    y = complex(y)
+    if y == 0:
+        if sheet == 1:
+            return 0j
+        raise PoleError("sheet-2 image of y = 0 is the point at infinity")
+    # build 1 - y preserving the sign of -y.imag so +-0j selects the cut side
+    one_minus = complex(1.0 - y.real, -y.imag)
+    w = cmath.sqrt(one_minus)
+    if sheet == 1:
+        return y / (1.0 + w) ** 2
+    z = (1.0 + w) ** 2 / y
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise PoleError(f"sheet-2 image of y = {y!r} overflows double range")
+    return z

@@ -20,7 +20,6 @@ from circledual import (
     level_matrix,
     li_three_halves_circle,
     map_to_y,
-    map_to_z,
     ontological_matrix,
     random_states,
     sqrt_series_disk,
@@ -30,7 +29,7 @@ from circledual import (
 from circledual import angle_kernel
 from circledual.cli import main
 from circledual.hilbert import to_sites
-from oracles import abel_kernel, neville_at_zero
+from oracles import abel_kernel, map_to_z, neville_at_zero
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

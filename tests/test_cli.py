@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -370,6 +371,92 @@ def test_seventeen_digit_serialization(tmp_path):
     _, data = read_csv(out)
     rendered = out.read_text(encoding="utf-8").strip().split("\n")[1].split(",")
     assert float(rendered[1]) == data[0, 1]  # round-trip exact
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+# the eight artifacts of the fixed contract; CI writes the same argvs (with
+# auxfun-eval on f) from the shell and through main in one process
+CONTRACT_ARGVS = [
+    ["duality-check", "--n", "11", "--trials", "20"],
+    ["spectrum", "--n", "11"],
+    ["matrix-elements", "--n", "16"],
+    ["auxfun-eval", "--function", "G", "--z=0.3:0.4,-0.5:0.1"],
+    ["zeros", "--n", "64"],
+    ["map-domains", "--radii", "0.25:1:0.25", "--samples", "61"],
+    ["f-curve", "--samples", "72"],
+    ["evolve", "--n", "11", "--state", "random", "--steps", "4"],
+]
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch):
+    """The first main call builds the argparse tree; later calls, on any subcommand, build none."""
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    assert main(["spectrum", "--n", "3", "--out", str(tmp_path / "s.csv")]) == 0
+    first = len(built)
+    assert first > 0
+    assert main(["zeros", "--n", "8", "--out", str(tmp_path / "z.json")]) == 0
+    assert main(["f-curve", "--samples", "12", "--out", str(tmp_path / "f.csv")]) == 0
+    assert len(built) == first, built[first:]
+
+
+def test_no_state_carried_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
+    """Usage errors, --version, a failed verdict and other flags of the same subcommand
+    leave nothing behind: each artifact has the bytes a fresh process writes."""
+
+    def exits(code, *argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == code
+
+    def other(*argv):
+        assert main([*argv, "--out", str(tmp_path / "other")]) == 0
+
+    def contract(i):
+        assert main([*CONTRACT_ARGVS[i], "--format", "json", "--out", str(tmp_path / f"{i}")]) == 0
+
+    exits(2, "matrix-elements", "--n", "16", "--which", "z", "--out", "x.csv")
+    contract(0)
+    exits(0, "--version")
+    assert capsys.readouterr().out.startswith("circledual ")
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "DUALITY_TOL", 1e-300)
+        argv = ["duality-check", "--n", "5", "--trials", "3", "--seed", "7", "--out"]
+        assert main([*argv, str(tmp_path / "failed.json")]) == 1
+    failure_report(capsys, "duality-check")
+    other("spectrum", "--n", "4", "--omega", "0.5")
+    contract(1)
+    exits(2, "spectrum", "--n", "0", "--out", "x.csv")
+    other("matrix-elements", "--n", "8", "--which", "p")
+    contract(2)
+    other("auxfun-eval", "--function", "GN", "--n", "5", "--z=0.3:0.4,2:1")
+    contract(3)
+    params = json.loads((tmp_path / "3").read_text(encoding="utf-8"))["metadata"]["parameters"]
+    assert params["n"] is None
+    exits(2, "zeros", "--n", "-3", "--out", "x.json")
+    contract(4)
+    other("map-domains", "--radii", "0.5,0.9", "--samples", "11")
+    contract(5)
+    exits(0, "--version")
+    other("f-curve", "--samples", "8", "--format", "json")
+    contract(6)
+    other("evolve", "--n", "7", "--state", "ont:2", "--time", "1.5", "--seed", "4")
+    contract(7)
+
+    for i, argv in enumerate(CONTRACT_ARGVS):
+        fresh = tmp_path / f"fresh-{i}"
+        proc = run_subprocess(*argv, "--format", "json", "--out", str(fresh))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / f"{i}").read_bytes() == fresh.read_bytes(), argv
 
 
 # ---------------------------------------------------------------------------

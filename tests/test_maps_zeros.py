@@ -14,13 +14,12 @@ from circledual import (
     ZeroSet,
     auxfun,
     map_to_y,
-    map_to_z,
     sqrt_series,
     sqrt_series_disk,
     sqrt_series_sheet2,
     sqrt_series_zeros,
 )
-from oracles import companion_roots, neville_at_zero
+from oracles import companion_roots, map_to_z, neville_at_zero
 
 ROUND_TRIP_TOL = 1e-12
 
