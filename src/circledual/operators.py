@@ -35,8 +35,9 @@ from .errors import BasisError, DimensionError, DomainError
 from .hilbert import Basis, _as_readonly_complex, _to_levels, check_dense_size, to_sites
 
 HERMITICITY_TOL = 1e-12
-# entries of M - M^H formed at a time by the hermiticity check (1 MiB)
-_DEFECT_BLOCK_ENTRIES = 1 << 16
+# entries of a block of rows or columns formed at a time (1 MiB): by the
+# hermiticity check, the conjugation and the comparison with the closed form
+_BLOCK_ENTRIES = 1 << 16
 
 _ELEMENT_KINDS = ("a", "adag", "x", "p")
 
@@ -70,24 +71,29 @@ class OperatorMatrix:
     def hermiticity_defect(self) -> float:
         """max |M - M^H|, over row blocks so the temporaries stay small."""
         m = self.entries
-        return _max_over_row_blocks(m.shape[0], lambda rows: m[rows] - m.T[rows].conj())
+        return _max_over_blocks(m.shape[0], lambda rows: m[rows] - m.T[rows].conj())
 
 
-def _max_over_row_blocks(dim: int, block_gap) -> float:
-    """max |block_gap(rows)| over row slices, one block of the gap at a time."""
-    step = max(1, _DEFECT_BLOCK_ENTRIES // dim)
-    return max(
-        float(np.max(np.abs(block_gap(slice(i, i + step))))) for i in range(0, dim, step)
-    )
+def _blocks(dim: int):
+    """Slices of _BLOCK_ENTRIES // dim rows or columns (at least one) that cover 0..dim-1."""
+    step = max(1, _BLOCK_ENTRIES // dim)
+    return (slice(i, i + step) for i in range(0, dim, step))
 
 
-def _hermitian_part(a: np.ndarray, which: str) -> np.ndarray:
+def _max_over_blocks(dim: int, block_gap) -> float:
+    """max |block_gap(block)| over the slices of _blocks(dim), one block of the gap at a time."""
+    return max(float(np.max(np.abs(block_gap(block)))) for block in _blocks(dim))
+
+
+def _hermitian_part(a: np.ndarray, which: str, a_rows: np.ndarray | None = None) -> np.ndarray:
     """x = (a + a^dag)/sqrt(2) or p = 1j*(a^dag - a)/sqrt(2), a^dag = a^H.
 
     Built in one new array, in place.  Entry (j, i) is the exact conjugate
-    of entry (i, j), so the result is hermitian to the last bit.
+    of entry (i, j), so the result is hermitian to the last bit.  For the
+    columns J of x or p, pass a[:, J] as a and a[J, :] as a_rows: the same
+    operations give the same bits as those columns of the whole.
     """
-    out = np.conjugate(a.T, order="C")
+    out = np.conjugate((a if a_rows is None else a_rows).T, order="C")
     if which == "x":
         np.add(a, out, out=out)
     else:
@@ -96,24 +102,30 @@ def _hermitian_part(a: np.ndarray, which: str) -> np.ndarray:
     return np.divide(out, math.sqrt(2.0), out=out)
 
 
+def _check_kind(which: str, dim: int) -> None:
+    if which not in _ELEMENT_KINDS:
+        raise DomainError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
+    if dim < 1:
+        raise DimensionError(f"dim must be >= 1, got {dim}")
+    check_dense_size(dim, dim, "the operator")
+
+
+def _kind_from_lowering(which: str, a: np.ndarray) -> np.ndarray:
+    """a, adag, x or p as a new array from the lowering matrix a (a itself for "a")."""
+    if which == "a":
+        return a
+    return _hermitian_part(a, which) if which != "adag" else np.conjugate(a.T)
+
+
 def _from_lowering(which: str, dim: int, basis: Basis, lowering) -> OperatorMatrix:
     """a, adag, x or p in basis from ``lowering(dim)``, checked before allocating.
 
     a is released once x, p or a^H is formed from it, so two dense arrays
     are live at most.
     """
-    if which not in _ELEMENT_KINDS:
-        raise DomainError(f"which must be one of {_ELEMENT_KINDS}, got {which!r}")
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
-    check_dense_size(dim, dim, "the operator")
-    a = lowering(dim)
-    if which == "a":
-        return OperatorMatrix(basis, a, owned=True)
-    hermitian = which != "adag"
-    out = _hermitian_part(a, which) if hermitian else np.conjugate(a.T)
-    del a
-    return OperatorMatrix(basis, out, hermitian=hermitian, owned=True)
+    _check_kind(which, dim)
+    entries = _kind_from_lowering(which, lowering(dim))
+    return OperatorMatrix(basis, entries, hermitian=which in ("x", "p"), owned=True)
 
 
 def _level_lowering(dim: int) -> np.ndarray:
@@ -140,26 +152,40 @@ def build_hamiltonian(dim: int, omega: float = 1.0) -> OperatorMatrix:
     return OperatorMatrix(Basis.ENERGY, np.diag(levels), hermitian=True, owned=True)
 
 
+def _columns_to_sites(b: np.ndarray, cols: slice) -> np.ndarray:
+    """Columns cols of U B: U applied to each column, that is to each row of B^T."""
+    return to_sites(b[:, cols].T).T
+
+
 def conjugate_to_ontological(op: OperatorMatrix) -> OperatorMatrix:
     """Basis-change an energy-basis operator to the circle sites: U M U^dag.
 
-    U and U^dag are symmetric, so M U^dag applies U^dag to every row of M,
-    and U B = (B^T U)^T applies U to every row of B^T.
+    U and U^dag are symmetric, so B = M U^dag applies U^dag to every row of
+    M, and U B = (B^T U)^T applies U to every row of B^T.  U B replaces B a
+    block of columns at a time, so the result is the one new dense array.
     """
     if op.basis is not Basis.ENERGY:
         raise BasisError("operator is not in the energy basis")
-    out = to_sites(_to_levels(op.entries).T).T
-    return OperatorMatrix(Basis.ONTOLOGICAL, out, hermitian=op.hermitian, owned=True)
+    b = _to_levels(op.entries)
+    for cols in _blocks(b.shape[0]):
+        b[:, cols] = _columns_to_sites(b, cols)
+    return OperatorMatrix(Basis.ONTOLOGICAL, b, hermitian=op.hermitian, owned=True)
 
 
-def _site_lowering(dim: int) -> np.ndarray:
-    """a on the circle sites: row phase e^{-i phi1} times the circulant kernel."""
+def _site_factors(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row phases e^{-i phi1}, as a column, and the circulant kernel as a dim x dim view."""
     kernel_by_diff = np.fft.ifft(np.sqrt(np.arange(dim)))  # S_{dim-1}(e^{2j*pi*d/dim}) / dim
     # windows of [k_1 .. k_{dim-1}, k_0 .. k_{dim-1}], reversed, put
     # k_{(s1 - s2) mod dim} at (s1, s2) as a view: no index array, no copy
     wrapped = np.concatenate((kernel_by_diff[1:], kernel_by_diff))
     kernel = np.lib.stride_tricks.sliding_window_view(wrapped, dim)[:, ::-1]
-    return np.exp(-2j * np.pi * np.arange(dim) / dim)[:, None] * kernel
+    return np.exp(-2j * np.pi * np.arange(dim) / dim)[:, None], kernel
+
+
+def _site_lowering(dim: int) -> np.ndarray:
+    """a on the circle sites: row phase e^{-i phi1} times the circulant kernel."""
+    phase, kernel = _site_factors(dim)
+    return phase * kernel
 
 
 def ontological_matrix(which: str, dim: int) -> OperatorMatrix:
@@ -167,14 +193,41 @@ def ontological_matrix(which: str, dim: int) -> OperatorMatrix:
     return _from_lowering(which, dim, Basis.ONTOLOGICAL, _site_lowering)
 
 
+def _site_columns(which: str, phase: np.ndarray, kernel: np.ndarray, cols: slice) -> np.ndarray:
+    """Columns cols of the closed-form site matrix of a kind, bit for bit those of the whole."""
+    a = phase * kernel[:, cols]
+    if which == "a":
+        return a
+    a_rows = phase[cols] * kernel[cols]
+    if which == "adag":
+        return np.conjugate(a_rows.T)
+    return _hermitian_part(a, which, a_rows)
+
+
+def _conjugation_gap(which: str, dim: int) -> float:
+    """max |closed form - U M U^dag| over the entries, M the level-basis matrix of a kind.
+
+    M is transformed in place into B = M U^dag a block of rows at a time,
+    then U B and the closed form are formed and compared a block of columns
+    at a time: B is the one dense array.
+    """
+    b = _kind_from_lowering(which, _level_lowering(dim))
+    for rows in _blocks(dim):
+        b[rows] = _to_levels(b[rows])
+    phase, kernel = _site_factors(dim)
+    return _max_over_blocks(
+        dim, lambda cols: _site_columns(which, phase, kernel, cols) - _columns_to_sites(b, cols)
+    )
+
+
 def compare_matrix_elements(which: str, dim: int) -> tuple[OperatorMatrix, float]:
     """The closed-form circle-site matrix and its max entrywise gap to U M U^dag.
 
-    The conjugation of the level-basis matrix is built first, so the closed
-    form is not alive while the level-basis operator is, and the gap is
-    taken over row blocks, so no N x N difference or modulus exists.
+    The gap is taken first, with the level-basis matrix transformed in
+    place and the rest in column blocks; the closed form is built once
+    that array is gone.  So two dense arrays are live at most: those of
+    the closed form's own build.
     """
-    conjugated = conjugate_to_ontological(level_matrix(which, dim)).entries
-    closed = ontological_matrix(which, dim)
-    gap = _max_over_row_blocks(dim, lambda rows: closed.entries[rows] - conjugated[rows])
-    return closed, gap
+    _check_kind(which, dim)
+    gap = _conjugation_gap(which, dim)
+    return ontological_matrix(which, dim), gap

@@ -3,14 +3,22 @@ import hashlib
 import io
 import json
 import math
+import os
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_csv, reference_json
 
-from circledual import DimensionError, DomainError, cli, figdata
+from circledual import DimensionError, DomainError, _textkernel, cli, figdata
+from circledual._textkernel import _E_MAX, _E_MIN
 from circledual.figdata import (
-    _ROW_BLOCK,
+    _BLOCK_CELLS,
+    _KERNEL_CELLS,
     FigureData,
     emit_domain_map,
     emit_f_curve,
@@ -201,7 +209,19 @@ def synthetic_figure(rows, seed=0):
     )
 
 
-@pytest.mark.parametrize("rows", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+# the synthetic figure has 7 columns: its CSV blocks are _BLOCK_CELLS // 7 rows and
+# take the kernel from ceil(_KERNEL_CELLS / 7) rows, its JSON column blocks from
+# _KERNEL_CELLS rows; each boundary is written one row short of it, at it and past it
+_CSV_BLOCK_ROWS = _BLOCK_CELLS // 7
+_CSV_KERNEL_ROWS = -(-_KERNEL_CELLS // 7)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [0, 1]
+    + [edge + step for edge in (_CSV_KERNEL_ROWS, _CSV_BLOCK_ROWS, _KERNEL_CELLS, _BLOCK_CELLS)
+       for step in (-1, 0, 1)],
+)
 def test_synthetic_columns_match_reference_writer(rows, tmp_path):
     assert_matches_reference(synthetic_figure(rows), tmp_path)
 
@@ -226,3 +246,144 @@ def test_spectrum_artifact_golden_hash(fmt, tmp_path):
     argv = ["spectrum", "--n", "4096", "--omega", "1.5", "--format", fmt, "--out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SPECTRUM_SHA256[fmt]
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the cell-by-cell reference
+
+
+def assert_kernel_matches_reference(values):
+    """The kernel's text of one column, one value a line, equals the reference CSV."""
+    values = np.asarray(values)
+    fig = FigureData(columns={"v": values}, metadata=make_metadata("synthetic", {}))
+    assert b"v\n" + _textkernel.block_text([values], ["\n"]) == reference_csv(fig)
+
+
+def test_kernel_matches_reference_on_random_bit_patterns():
+    """2^20 doubles from random bits: every exponent, subnormals and both signs."""
+    bits = np.random.default_rng(11).integers(0, 2**64, size=1 << 20, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert_kernel_matches_reference(values[np.isfinite(values)])
+
+
+def test_kernel_matches_reference_on_scaled_and_whole_values():
+    rng = np.random.default_rng(12)
+    assert_kernel_matches_reference(
+        rng.standard_normal(1 << 16) * 10.0 ** rng.integers(-40, 40, 1 << 16)
+    )
+    assert_kernel_matches_reference(np.round(rng.standard_normal(1 << 16) * 1e6))
+    # integer-valued floats with all 17 digits
+    assert_kernel_matches_reference(rng.integers(10**16, 10**17, 4096).astype(np.float64))
+
+
+def exact_ties(rng):
+    """Doubles x = m 2^-(k+1), m odd, with x 10^k = (m 5^k)/2: 17 digits and a half."""
+    ties = [3 * 2.0**-25]
+    for k in range(2, 25):
+        low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        for m in rng.integers(low, high, 24) | 1:
+            ties.append(math.ldexp(float(m), -(k + 1)))
+    for x in ties:
+        scaled = Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))
+        assert scaled - math.floor(scaled) == Fraction(1, 2), x
+    return np.array(ties)
+
+
+def test_kernel_matches_reference_on_edge_values():
+    rng = np.random.default_rng(13)
+    tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # the neighbours below a power of ten that "%.17g" rounds up to it
+    round_up = [x for x in neighbours if Decimal(format(x, ".17g")) > Decimal(x)
+                and Decimal(format(x, ".17g")).normalize().as_tuple().digits == (1,)]
+    assert len(round_up) > 10
+    edges = np.concatenate([
+        [0.0, 5e-324, 2 * 5e-324, tiny, np.nextafter(tiny, 0.0), huge, 1e-5, 1e-4, 1e16, 1e17],
+        rng.integers(1, 2**52, 64).astype(np.float64) * 5e-324,  # subnormals
+        neighbours,
+        exact_ties(rng),
+        round_up,
+    ])
+    assert_kernel_matches_reference(np.concatenate([edges, -edges]))
+
+
+def test_kernel_matches_reference_on_integers_and_bools():
+    rng = np.random.default_rng(14)
+    int64 = np.iinfo(np.int64)
+    assert_kernel_matches_reference(np.concatenate([
+        [int64.min, int64.min + 1, int64.max, 0, -1, 1, 9, 10, -10, 99, 100],
+        rng.integers(int64.min, int64.max, 4096, dtype=np.int64, endpoint=True),
+        10 ** rng.integers(0, 19, 4096) * rng.choice([-1, 1], 4096),
+    ]))
+    assert_kernel_matches_reference(np.concatenate([
+        np.array([0, 2**64 - 1, 10**19, 10**19 - 1], dtype=np.uint64),
+        rng.integers(0, 2**64 - 1, 4096, dtype=np.uint64, endpoint=True),
+    ]))
+    assert_kernel_matches_reference(rng.integers(-(2**31), 2**31, 4096).astype(np.int32))
+    assert_kernel_matches_reference(rng.random(4096) < 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_kernel_matches_reference_on_any_finite_floats(values):
+    assert_kernel_matches_reference(np.array(values, dtype=np.float64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+)
+def test_kernel_matches_reference_on_any_64_bit_integers(signed, unsigned):
+    assert_kernel_matches_reference(np.array(signed, dtype=np.int64))
+    assert_kernel_matches_reference(np.array(unsigned, dtype=np.uint64))
+
+
+def test_power_table_is_within_its_error_bound():
+    """hi + lo is 10^(16 - e) to 2^-104 relative, so its share of the digits' error is < 1e-14."""
+    tables = _textkernel.TABLES
+    for row, e in enumerate(range(_E_MAX, _E_MIN - 1, -1)):
+        exact = Fraction(10) ** (16 - e)
+        stored = Fraction(float(tables.pow_hi[row])) + Fraction(float(tables.pow_lo[row]))
+        assert abs(stored - exact) <= exact / 2**104, e
+
+
+def test_blocks_take_the_kernel_from_the_crossover(monkeypatch):
+    """A block of _KERNEL_CELLS cells or more takes the kernel, a smaller one the template."""
+    calls = []
+    kernel = _textkernel.block_text
+
+    def recording(block, seps):
+        calls.append(len(block) * len(block[0]))
+        return kernel(block, seps)
+
+    monkeypatch.setattr(_textkernel, "block_text", recording)
+    for columns, rows in ((1, _KERNEL_CELLS - 1), (1, _KERNEL_CELLS),
+                          (4, _KERNEL_CELLS // 4 - 1), (4, _KERNEL_CELLS // 4)):
+        calls.clear()
+        block = [np.arange(rows) * 0.1] * columns
+        text = figdata._block_text(block, [","] * (columns - 1) + ["\n"])
+        assert calls == ([columns * rows] if columns * rows >= _KERNEL_CELLS else [])
+        assert text == kernel(block, [","] * (columns - 1) + ["\n"])
+
+
+def test_writers_hold_a_few_blocks_of_text():
+    """2^20 rows of 2 integer and 8 float columns: no whole-column text is ever built.
+
+    The columns take 80 MiB; one float column as kernel fields alone would be
+    48 MiB.  Both writers stay within a few MiB beyond the columns.
+    """
+    rows = 1 << 20
+    rng = np.random.default_rng(15)
+    columns = {"s1": np.arange(rows) // 1024, "s2": np.arange(rows) % 1024}
+    columns.update({f"v{j}": rng.standard_normal(rows) for j in range(8)})
+    fig = FigureData(columns=columns, metadata=make_metadata("synthetic", {}))
+    for write in (write_csv, write_json):
+        tracemalloc.start()
+        try:
+            write(fig, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, (write.__name__, peak)
