@@ -228,18 +228,29 @@ def test_criterion_10_zeros():
     start = time.perf_counter()
     fractions = []
     residual_ok = True
+    # reported, not gated: the radial approach n (1 - min|z|) / log n, and the
+    # asymptotic start's prediction at z = -1, where |z|^(n+1) = |2 S(-1)| / sqrt(n+1)
+    log_two_s = math.log(abs(2.0 * angle_kernel(math.pi).value))  # S(-1) = g(pi)
+    approach = []
     for degree in (16, 64, 256, 512):
         zero_set = sqrt_series_zeros(degree)
         # the enforced bound: 1e-8 times the largest coefficient, sqrt(degree)
         residual_ok = residual_ok and zero_set.residual <= 1e-8 * math.sqrt(degree)
         fractions.append(zero_set.near_circle_fraction())
+        inner = np.min(np.abs(zero_set.roots[zero_set.roots != 0]))
+        predicted = degree / (degree + 1) * (0.5 * math.log(degree + 1) - log_two_s)
+        approach.append(
+            f"{degree}: {degree * (1.0 - inner) / math.log(degree):.3f}"
+            f" (predicted {predicted / math.log(degree):.3f})"
+        )
     elapsed = time.perf_counter() - start
     monotone = fractions == sorted(fractions)
     report(
         10,
         "kernel polynomial zeros",
         residual_ok and monotone and elapsed < 120.0,
-        f"near-circle fractions {[f'{f:.3f}' for f in fractions]}, {elapsed:.1f}s",
+        f"near-circle fractions {[f'{f:.3f}' for f in fractions]}, "
+        f"n (1 - min|z|) / log n {', '.join(approach)}, {elapsed:.1f}s",
     )
 
 

@@ -307,6 +307,14 @@ def test_zeros_report_a_failed_iteration(monkeypatch):
     assert {"disk_gap", "residual", "bound"} <= diagnostics.keys()
 
 
+def test_zeros_certified_within_three_sweeps_at_every_accepted_degree(monkeypatch):
+    """From the asymptotic start every degree converges in 3 Aberth sweeps;
+    a start on the outer circle needs 5-32 and fails this."""
+    monkeypatch.setattr(auxfun, "_ABERTH_SWEEPS", 3)
+    for degree in range(1, auxfun.MAX_ZERO_DEGREE + 1):
+        sqrt_series_zeros(degree)
+
+
 def test_more_roots_hug_the_circle_as_degree_grows():
     near_16 = int(round(sqrt_series_zeros(16).near_circle_fraction() * 16))
     near_64 = int(round(sqrt_series_zeros(64).near_circle_fraction() * 64))
