@@ -63,13 +63,5 @@ from .hilbert import (
     random_state,
     random_states,
     to_energy,
-    to_ontological,
 )
-from .operators import (
-    OperatorMatrix,
-    build_hamiltonian,
-    compare_matrix_elements,
-    conjugate_to_ontological,
-    level_matrix,
-    ontological_matrix,
-)
+from .operators import compare_matrix_elements

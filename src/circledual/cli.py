@@ -290,8 +290,8 @@ def _cmd_matrix_elements(args) -> Outcome:
     deviations = {}
     for kind in kinds:
         closed, deviations[f"max_deviation_{kind}"] = compare_matrix_elements(kind, args.n)
-        elements[f"re_{kind}"] = closed.entries.real.ravel()
-        elements[f"im_{kind}"] = closed.entries.imag.ravel()
+        elements[f"re_{kind}"] = closed.real.ravel()
+        elements[f"im_{kind}"] = closed.imag.ravel()
         del closed
     # the site columns, two N^2 integer arrays, only once the operators are gone
     sites = np.arange(args.n)

@@ -13,8 +13,8 @@ the inverse transform uses ``U^dagger``.  U is a unitary DFT: ``U @ psi``
 is ``ifft(psi, norm="ortho")`` and ``U^dagger @ psi`` is
 ``fft(psi, norm="ortho")``.  This module is the one place that applies U:
 ``to_sites`` and ``_to_levels`` take those O(N log N) routes along the last
-axis, ``to_ontological`` and ``to_energy`` use them on states, and
-``operators.conjugate_to_ontological`` uses them on the rows and columns of
+axis; ``dynamics`` uses them on batches of states, ``to_energy`` on one
+state, and ``operators.compare_matrix_elements`` on the rows and columns of
 an operator.  The library builds no dense U; ``to_sites(np.eye(N))`` is U.
 
 Dense N x N storage is capped at ``DENSE_ENTRY_CEILING`` complex entries
@@ -38,15 +38,6 @@ DENSE_ENTRY_CEILING = 4096 * 4096
 class Basis(Enum):
     ENERGY = "energy"
     ONTOLOGICAL = "ontological"
-
-
-def _as_readonly_complex(values, expected_ndim, copy=True):
-    """A read-only complex copy of values; with copy=False a complex array is frozen in place."""
-    arr = (np.array if copy else np.asarray)(values, dtype=np.complex128)
-    if arr.ndim != expected_ndim:
-        raise DimensionError(f"expected {expected_ndim}-d array, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 def check_dense_size(rows: int, cols: int, what: str) -> None:
@@ -79,9 +70,12 @@ class StateVector:
     def __post_init__(self):
         if not isinstance(self.basis, Basis):
             raise BasisError(f"not a Basis tag: {self.basis!r}")
-        arr = _as_readonly_complex(self.amplitudes, 1)
+        arr = np.array(self.amplitudes, dtype=np.complex128)  # a copy, frozen below
+        if arr.ndim != 1:
+            raise DimensionError(f"expected 1-d array, got shape {arr.shape}")
         if arr.size < 1:
             raise DimensionError("state needs at least one amplitude")
+        arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
     @property
@@ -128,13 +122,6 @@ def random_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Normalized energy-basis state with Gaussian random complex amplitudes."""
     return StateVector(Basis.ENERGY, random_states(1, dim, rng)[0])
-
-
-def to_ontological(state: StateVector) -> StateVector:
-    """Re-express an energy-basis state over the circle sites (U psi, by FFT)."""
-    if state.basis is not Basis.ENERGY:
-        raise BasisError("to_ontological expects an energy-basis state")
-    return StateVector(Basis.ONTOLOGICAL, to_sites(state.amplitudes))
 
 
 def to_energy(state: StateVector) -> StateVector:

@@ -1,4 +1,4 @@
-"""Truncated oscillator operators in both bases, and the check that ties them.
+"""Truncated oscillator operators on the circle sites, checked against the levels.
 
 All operators act on the N lowest oscillator levels (hbar = 1).  The
 truncation forces a highest level, so the canonical commutators pick up an
@@ -14,75 +14,35 @@ S_{N-1}(z) = sum_{n=1}^{N-1} sqrt(n) z^n,
 
 The kernel depends only on (s1 - s2) mod N, and its N values
 S_{N-1}(e^{2j*pi*d/N}) / N are exactly the inverse DFT of sqrt(0..N-1).
-``ontological_matrix`` builds a from that FFT kernel, ``level_matrix`` from
-a|n> = sqrt(n)|n-1>; both take a^dag = a^H, x = (a + a^dag)/sqrt(2) and
-p = 1j*(a^dag - a)/sqrt(2) from it, so x and p are hermitian by
-construction.  ``conjugate_to_ontological`` is the one independent
-cross-check, U M U^dag by FFTs over rows and columns (no dense U), and
-``compare_matrix_elements`` applies it to one kind.  Every dense
-constructor checks its N x N size against ``hilbert.DENSE_ENTRY_CEILING``
-first.
+``compare_matrix_elements`` is the one entry point.  It builds the closed
+form of a, a^dag = a^H, x = (a + a^dag)/sqrt(2) or p = 1j*(a^dag - a)/sqrt(2)
+from that FFT kernel, so x and p are hermitian by construction, and checks
+it against the one independent route: the level-basis matrix from
+a|n> = sqrt(n)|n-1>, conjugated to U M U^dag by FFTs over rows and columns
+(no dense U).  It checks the N x N size against
+``hilbert.DENSE_ENTRY_CEILING`` first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, DomainError
-from .hilbert import Basis, _as_readonly_complex, _to_levels, check_dense_size, to_sites
+from .errors import DimensionError, DomainError
+from .hilbert import _to_levels, check_dense_size, to_sites
 
-HERMITICITY_TOL = 1e-12
 # entries of a block of rows or columns formed at a time (1 MiB): by the
-# hermiticity check, the conjugation and the comparison with the closed form
+# conjugation and the comparison with the closed form
 _BLOCK_ENTRIES = 1 << 16
 
 _ELEMENT_KINDS = ("a", "adag", "x", "p")
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense N x N complex operator tagged with its basis.
-
-    The entries are a read-only copy of the array given, except that the
-    builders here pass ``owned=True`` to freeze a fresh array in place.
-    """
-
-    basis: Basis
-    entries: np.ndarray
-    hermitian: bool = False
-    owned: InitVar[bool] = False
-
-    def __post_init__(self, owned):
-        if not isinstance(self.basis, Basis):
-            raise BasisError(f"not a Basis tag: {self.basis!r}")
-        arr = _as_readonly_complex(self.entries, 2, copy=not owned)
-        if arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"operator must be square, got {arr.shape}")
-        object.__setattr__(self, "entries", arr)
-        if self.hermitian and self.hermiticity_defect() > HERMITICITY_TOL:
-            raise DomainError(
-                f"declared hermitian but defect {self.hermiticity_defect():.3e} "
-                f"> {HERMITICITY_TOL:.0e}"
-            )
-
-    def hermiticity_defect(self) -> float:
-        """max |M - M^H|, over row blocks so the temporaries stay small."""
-        m = self.entries
-        return _max_over_blocks(m.shape[0], lambda rows: m[rows] - m.T[rows].conj())
 
 
 def _blocks(dim: int):
     """Slices of _BLOCK_ENTRIES // dim rows or columns (at least one) that cover 0..dim-1."""
     step = max(1, _BLOCK_ENTRIES // dim)
     return (slice(i, i + step) for i in range(0, dim, step))
-
-
-def _max_over_blocks(dim: int, block_gap) -> float:
-    """max |block_gap(block)| over the slices of _blocks(dim), one block of the gap at a time."""
-    return max(float(np.max(np.abs(block_gap(block)))) for block in _blocks(dim))
 
 
 def _hermitian_part(a: np.ndarray, which: str, a_rows: np.ndarray | None = None) -> np.ndarray:
@@ -111,21 +71,14 @@ def _check_kind(which: str, dim: int) -> None:
 
 
 def _kind_from_lowering(which: str, a: np.ndarray) -> np.ndarray:
-    """a, adag, x or p as a new array from the lowering matrix a (a itself for "a")."""
-    if which == "a":
-        return a
-    return _hermitian_part(a, which) if which != "adag" else np.conjugate(a.T)
-
-
-def _from_lowering(which: str, dim: int, basis: Basis, lowering) -> OperatorMatrix:
-    """a, adag, x or p in basis from ``lowering(dim)``, checked before allocating.
+    """a, adag, x or p as a new array from the lowering matrix a (a itself for "a").
 
     a is released once x, p or a^H is formed from it, so two dense arrays
     are live at most.
     """
-    _check_kind(which, dim)
-    entries = _kind_from_lowering(which, lowering(dim))
-    return OperatorMatrix(basis, entries, hermitian=which in ("x", "p"), owned=True)
+    if which == "a":
+        return a
+    return _hermitian_part(a, which) if which != "adag" else np.conjugate(a.T)
 
 
 def _level_lowering(dim: int) -> np.ndarray:
@@ -136,40 +89,9 @@ def _level_lowering(dim: int) -> np.ndarray:
     return a
 
 
-def level_matrix(which: str, dim: int) -> OperatorMatrix:
-    """Energy-basis matrix of a, adag, x or p.  Only the requested kind is built."""
-    return _from_lowering(which, dim, Basis.ENERGY, _level_lowering)
-
-
-def build_hamiltonian(dim: int, omega: float = 1.0) -> OperatorMatrix:
-    """diag(0, omega, 2*omega, ...): level n costs n*omega, ground energy 0."""
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
-    check_dense_size(dim, dim, "the operator")
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise DomainError(f"omega must be positive and finite, got {omega}")
-    levels = np.arange(dim, dtype=np.complex128) * omega
-    return OperatorMatrix(Basis.ENERGY, np.diag(levels), hermitian=True, owned=True)
-
-
 def _columns_to_sites(b: np.ndarray, cols: slice) -> np.ndarray:
     """Columns cols of U B: U applied to each column, that is to each row of B^T."""
     return to_sites(b[:, cols].T).T
-
-
-def conjugate_to_ontological(op: OperatorMatrix) -> OperatorMatrix:
-    """Basis-change an energy-basis operator to the circle sites: U M U^dag.
-
-    U and U^dag are symmetric, so B = M U^dag applies U^dag to every row of
-    M, and U B = (B^T U)^T applies U to every row of B^T.  U B replaces B a
-    block of columns at a time, so the result is the one new dense array.
-    """
-    if op.basis is not Basis.ENERGY:
-        raise BasisError("operator is not in the energy basis")
-    b = _to_levels(op.entries)
-    for cols in _blocks(b.shape[0]):
-        b[:, cols] = _columns_to_sites(b, cols)
-    return OperatorMatrix(Basis.ONTOLOGICAL, b, hermitian=op.hermitian, owned=True)
 
 
 def _site_factors(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,11 +110,6 @@ def _site_lowering(dim: int) -> np.ndarray:
     return phase * kernel
 
 
-def ontological_matrix(which: str, dim: int) -> OperatorMatrix:
-    """Circle-site matrix of a, adag, x or p.  Only the requested kind is built."""
-    return _from_lowering(which, dim, Basis.ONTOLOGICAL, _site_lowering)
-
-
 def _site_columns(which: str, phase: np.ndarray, kernel: np.ndarray, cols: slice) -> np.ndarray:
     """Columns cols of the closed-form site matrix of a kind, bit for bit those of the whole."""
     a = phase * kernel[:, cols]
@@ -207,21 +124,26 @@ def _site_columns(which: str, phase: np.ndarray, kernel: np.ndarray, cols: slice
 def _conjugation_gap(which: str, dim: int) -> float:
     """max |closed form - U M U^dag| over the entries, M the level-basis matrix of a kind.
 
-    M is transformed in place into B = M U^dag a block of rows at a time,
-    then U B and the closed form are formed and compared a block of columns
-    at a time: B is the one dense array.
+    U and U^dag are symmetric, so B = M U^dag applies U^dag to every row of
+    M, and U B = (B^T U)^T applies U to every row of B^T.  M is transformed
+    in place into B a block of rows at a time, then U B and the closed form
+    are formed and compared a block of columns at a time: B is the one
+    dense array.
     """
     b = _kind_from_lowering(which, _level_lowering(dim))
     for rows in _blocks(dim):
         b[rows] = _to_levels(b[rows])
     phase, kernel = _site_factors(dim)
-    return _max_over_blocks(
-        dim, lambda cols: _site_columns(which, phase, kernel, cols) - _columns_to_sites(b, cols)
-    )
+
+    def block_gap(cols: slice) -> float:
+        closed = _site_columns(which, phase, kernel, cols)
+        return float(np.max(np.abs(closed - _columns_to_sites(b, cols))))
+
+    return max(block_gap(cols) for cols in _blocks(dim))
 
 
-def compare_matrix_elements(which: str, dim: int) -> tuple[OperatorMatrix, float]:
-    """The closed-form circle-site matrix and its max entrywise gap to U M U^dag.
+def compare_matrix_elements(which: str, dim: int) -> tuple[np.ndarray, float]:
+    """The closed-form circle-site matrix of a kind and its max entrywise gap to U M U^dag.
 
     The gap is taken first, with the level-basis matrix transformed in
     place and the rest in column blocks; the closed form is built once
@@ -230,4 +152,4 @@ def compare_matrix_elements(which: str, dim: int) -> tuple[OperatorMatrix, float
     """
     _check_kind(which, dim)
     gap = _conjugation_gap(which, dim)
-    return ontological_matrix(which, dim), gap
+    return _kind_from_lowering(which, _site_lowering(dim)), gap

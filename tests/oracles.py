@@ -6,7 +6,9 @@ its exp formula, the reference that pins the library's FFT convention.
 r -> 1- of the divergent series sum sqrt(n) (r e^{i phi})^n, from damped
 partial sums extrapolated polynomially in (1 - r).
 ``site_operator_entries`` is the circle-site a, a^dag, x or p formed the
-direct way, through an N x N difference-index array.  ``reference_csv`` and
+direct way, through an N x N difference-index array, and
+``level_operator_entries`` the same kinds over the levels, from
+a|n> = sqrt(n)|n-1> written entry by entry.  ``reference_csv`` and
 ``reference_json`` are the artifact writers cell by cell: every value goes
 through one scalar formatter, every JSON array through one recursive
 renderer.  ``companion_roots`` finds the roots of S_n as eigenvalues of
@@ -70,7 +72,19 @@ def site_operator_entries(which, n):
     sites = np.arange(n)
     kernel_by_diff = np.fft.ifft(np.sqrt(sites))
     kernel = kernel_by_diff[np.mod(sites[:, None] - sites[None, :], n)]
-    a = np.exp(-2j * np.pi * sites / n)[:, None] * kernel
+    return _kind(which, np.exp(-2j * np.pi * sites / n)[:, None] * kernel)
+
+
+def level_operator_entries(which, n):
+    """a[m, m + 1] = sqrt(m + 1) over the n levels, then a^H, x, p."""
+    a = np.zeros((n, n), dtype=np.complex128)
+    for m in range(n - 1):
+        a[m, m + 1] = math.sqrt(m + 1)
+    return _kind(which, a)
+
+
+def _kind(which, a):
+    """a, a^H, x = (a + a^H)/sqrt(2) or p = 1j*(a^H - a)/sqrt(2)."""
     adag = a.conj().T
     if which == "a":
         return a

@@ -6,21 +6,16 @@ Each test prints one `[acceptance] criterion N: PASS/FAIL` line (run with
 
 import cmath
 import math
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 from circledual import (
-    build_hamiltonian,
-    conjugate_to_ontological,
+    compare_matrix_elements,
     duality_deviations,
-    level_matrix,
+    emit_spectrum,
     li_three_halves_circle,
     map_to_y,
-    ontological_matrix,
     random_states,
     sqrt_series_disk,
     sqrt_series_sheet2,
@@ -29,9 +24,13 @@ from circledual import (
 from circledual import angle_kernel
 from circledual.cli import main
 from circledual.hilbert import to_sites
-from oracles import abel_kernel, map_to_z, neville_at_zero
+from oracles import abel_kernel, level_operator_entries, map_to_z, neville_at_zero
+from test_cli import run_subprocess
+from test_operators import conjugated
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+def hermiticity_defect(m):
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def report(number, label, passed, detail):
@@ -57,11 +56,10 @@ def test_criterion_01_unitarity():
 
 def test_criterion_02_spectrum():
     n = 11
-    h = build_hamiltonian(n)
-    diagonal = np.diag(h.entries)
-    exact = np.array_equal(diagonal.real, np.arange(11.0)) and np.all(diagonal.imag == 0.0)
-    h_site = conjugate_to_ontological(h)
-    eig_gap = float(np.max(np.abs(np.sort(np.linalg.eigvalsh(h_site.entries)) - np.arange(11.0))))
+    levels = emit_spectrum(n, 1.0).columns["energy"]  # the route `spectrum` ships
+    exact = np.array_equal(levels, np.arange(11.0))
+    h_site = conjugated(np.diag(levels))
+    eig_gap = float(np.max(np.abs(np.sort(np.linalg.eigvalsh(h_site)) - np.arange(11.0))))
     report(
         2,
         "spectrum reproduction",
@@ -87,14 +85,10 @@ def test_criterion_03_stroboscopic_duality():
 
 
 def test_criterion_04_closed_form_elements():
-    # all four kinds up to N = 2048, and a also at the CLI's ceiling N = 4096
+    # all four kinds up to N = 2048, and a also at the CLI's ceiling N = 4096:
+    # the gap `matrix-elements` gates on
     cases = [(n, kind) for n in (2, 16, 64, 256, 1024, 2048) for kind in ("a", "adag", "x", "p")]
-    worst = 0.0
-    for n, kind in cases + [(4096, "a")]:
-        closed = ontological_matrix(kind, n).entries
-        conjugated = conjugate_to_ontological(level_matrix(kind, n)).entries
-        worst = max(worst, float(np.max(np.abs(closed - conjugated))))
-        del closed, conjugated
+    worst = max(compare_matrix_elements(kind, n)[1] for n, kind in cases + [(4096, "a")])
     report(
         4,
         "closed-form matrix elements",
@@ -107,12 +101,15 @@ def test_criterion_05_hermiticity_and_reality():
     worst_defect = 0.0
     for n in (2, 3, 11, 64, 128, 256, 1024, 2048):
         for kind in ("x", "p"):
-            site = conjugate_to_ontological(level_matrix(kind, n))
-            worst_defect = max(worst_defect, site.hermiticity_defect())
+            site = conjugated(level_operator_entries(kind, n))
+            worst_defect = max(worst_defect, hermiticity_defect(site))
+            del site
     # the closed-form x and p are hermitian by construction at every size
     for n in (384, 1024, 2048):
         for kind in ("x", "p"):
-            worst_defect = max(worst_defect, ontological_matrix(kind, n).hermiticity_defect())
+            closed = compare_matrix_elements(kind, n)[0]
+            worst_defect = max(worst_defect, hermiticity_defect(closed))
+            del closed
     rng = np.random.default_rng(1)
     worst_reality = 0.0
     for _ in range(1000):
@@ -130,13 +127,15 @@ def test_criterion_05_hermiticity_and_reality():
 
 
 def test_criterion_06_truncation_commutator():
+    # [x, p] = i (I - N v v^H) on the circle sites, v = U|N-1> the top level there
     worst = 0.0
-    for n in (2, 4, 64):
-        x, p = level_matrix("x", n).entries, level_matrix("p", n).entries
-        defect = x @ p - p @ x
-        expected = 1j * np.eye(n)
-        expected[n - 1, n - 1] = 1j * (1.0 - n)
-        worst = max(worst, float(np.max(np.abs(defect - expected))))
+    for n in (2, 4, 64, 256):
+        x, p = compare_matrix_elements("x", n)[0], compare_matrix_elements("p", n)[0]
+        top = np.zeros(n)
+        top[n - 1] = 1.0
+        v = to_sites(top)
+        expected = 1j * (np.eye(n) - n * np.outer(v, v.conj()))
+        worst = max(worst, float(np.max(np.abs(x @ p - p @ x - expected))))
     report(
         6,
         "truncation commutator",
@@ -267,12 +266,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         for attempt in ("a", "b"):
             out = tmp_path / f"{name}-{attempt}.csv"
             start = time.perf_counter()
-            proc = subprocess.run(
-                [sys.executable, "-m", "circledual", *argv, "--out", str(out)],
-                capture_output=True,
-                text=True,
-                env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-            )
+            proc = run_subprocess(*argv, "--out", str(out))
             slowest = max(slowest, time.perf_counter() - start)
             assert proc.returncode == 0, proc.stderr
             artifacts.append(out.read_bytes())

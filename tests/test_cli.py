@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import time
@@ -19,6 +20,9 @@ from circledual import ConvergenceError, ZeroFindingError, auxfun, cli, dynamics
 from circledual.cli import _fail, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# launched interpreters write no bytecode into src/: a later run from this tree,
+# a benchmark's included, would otherwise import from caches it did not build
+LAUNCH_ENV = {"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def read_csv(path):
@@ -28,13 +32,22 @@ def read_csv(path):
     return header, np.array(rows, dtype=np.float64)
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, src=SRC):
+    """``python -m circledual *argv`` in a fresh interpreter that imports from src."""
     return subprocess.run(
         [sys.executable, "-m", "circledual", *argv],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env={**LAUNCH_ENV, "PYTHONPATH": src},
     )
+
+
+def test_launches_write_no_bytecode_into_the_source_tree(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    proc = run_subprocess("--version", src=str(src))
+    assert proc.returncode == 0 and proc.stdout.startswith("circledual "), proc.stderr
+    assert list(src.rglob("__pycache__")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +528,25 @@ def test_matrix_elements_verdict_failure_exit_one(tmp_path, capsys, monkeypatch)
     params = payload["metadata"]["parameters"]
     assert params["passed"] is False and 0.0 <= params["max_deviation_x"] <= 1e-10
     assert len(payload["columns"]["re_x"]) == 256
+
+
+def test_matrix_elements_gap_sees_a_wrong_closed_form(tmp_path, capsys, monkeypatch):
+    """A row phase off by 1e-8 in the closed form fails the contract at its real tolerance."""
+    site_factors = operators._site_factors
+
+    def planted(dim):
+        phase, kernel = site_factors(dim)
+        return phase * (1.0 + 1e-8), kernel
+
+    monkeypatch.setattr(operators, "_site_factors", planted)
+    assert operators.compare_matrix_elements("x", 64)[1] > cli.ELEMENT_TOL
+    out = tmp_path / "elements.json"
+    argv = ["matrix-elements", "--n", "64", "--which", "x", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 1
+    report = failure_report(capsys, "matrix-elements")
+    assert report["message"].startswith("closed form deviates from conjugation")
+    params = json.loads(out.read_text(encoding="utf-8"))["metadata"]["parameters"]
+    assert params["passed"] is False and params["max_deviation_x"] > params["tolerance"]
 
 
 def test_map_domains_closure_failure_exit_one(tmp_path, capsys, monkeypatch):

@@ -23,9 +23,9 @@ from circledual import (
     random_state,
     random_states,
     sampled_duality_deviations,
-    to_ontological,
     transport_steps,
 )
+from circledual.hilbert import to_sites
 from oracles import duality_gaps_per_residue
 
 TAU = 2.0 * math.pi
@@ -114,8 +114,8 @@ def test_stroboscopic_site_shift():
 
         energy = to_energy(start)
         t = TAU * k / n
-        site_rep = to_ontological(evolve_quantum(energy, t))
-        weights = np.abs(site_rep.amplitudes) ** 2
+        site_rep = to_sites(evolve_quantum(energy, t).amplitudes)
+        weights = np.abs(site_rep) ** 2
         assert weights[(s + k) % n] == pytest.approx(1.0, abs=1e-12)
 
 
