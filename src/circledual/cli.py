@@ -121,8 +121,10 @@ def _radius_spec(text: str) -> list[float]:
             )
         count = int(round(steps))
         values = [start + k * step for k in range(count + 1)]
-        # snap float drift at the endpoint back onto the requested stop
-        return [stop if abs(v - stop) < 1e-9 else v for v in values]
+        # snap float drift of the last point, and only that, back onto the requested stop
+        if abs(values[-1] - stop) <= 1e-9 * step:
+            values[-1] = stop
+        return values
     return _float_list(text)
 
 

@@ -14,8 +14,9 @@ is ``ifft(psi, norm="ortho")`` and ``U^dagger @ psi`` is
 ``fft(psi, norm="ortho")``.  This module is the one place that applies U:
 ``to_sites`` and ``_to_levels`` take those O(N log N) routes along the last
 axis; ``dynamics`` uses them on batches of states, ``to_energy`` on one
-state, and ``operators.compare_matrix_elements`` on the rows and columns of
-an operator.  The library builds no dense U; ``to_sites(np.eye(N))`` is U.
+state, and ``operators.compare_matrix_elements`` on blocks of unit
+vectors, around a level-basis operator applied to each.  The library
+builds no dense U; ``to_sites(np.eye(N))`` is U.
 
 Dense N x N storage is capped at ``DENSE_ENTRY_CEILING`` complex entries
 (4096^2, 256 MiB); every dense constructor checks the size it is about to

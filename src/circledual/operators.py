@@ -16,11 +16,12 @@ The kernel depends only on (s1 - s2) mod N, and its N values
 S_{N-1}(e^{2j*pi*d/N}) / N are exactly the inverse DFT of sqrt(0..N-1).
 ``compare_matrix_elements`` is the one entry point.  It builds the closed
 form of a, a^dag = a^H, x = (a + a^dag)/sqrt(2) or p = 1j*(a^dag - a)/sqrt(2)
-from that FFT kernel, so x and p are hermitian by construction, and checks
-it against the one independent route: the level-basis matrix from
-a|n> = sqrt(n)|n-1>, conjugated to U M U^dag by FFTs over rows and columns
-(no dense U).  It checks the N x N size against
-``hilbert.DENSE_ENTRY_CEILING`` first.
+once, from that FFT kernel, so x and p are hermitian by construction.  It
+checks it against the one independent route, U M U^dag with M the
+level-basis operator, taken a block of columns at a time and with no
+matrix for M: U^dag (an FFT) on the unit vectors of the block, then
+a|n> = sqrt(n)|n-1> and a^dag = a^H on each vector, then U.  It checks the
+N x N size against ``hilbert.DENSE_ENTRY_CEILING`` first.
 """
 
 from __future__ import annotations
@@ -32,34 +33,10 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .hilbert import _to_levels, check_dense_size, to_sites
 
-# entries of a block of rows or columns formed at a time (1 MiB): by the
-# conjugation and the comparison with the closed form
+# entries of a block of columns formed at a time (1 MiB) by the comparison
 _BLOCK_ENTRIES = 1 << 16
 
 _ELEMENT_KINDS = ("a", "adag", "x", "p")
-
-
-def _blocks(dim: int):
-    """Slices of _BLOCK_ENTRIES // dim rows or columns (at least one) that cover 0..dim-1."""
-    step = max(1, _BLOCK_ENTRIES // dim)
-    return (slice(i, i + step) for i in range(0, dim, step))
-
-
-def _hermitian_part(a: np.ndarray, which: str, a_rows: np.ndarray | None = None) -> np.ndarray:
-    """x = (a + a^dag)/sqrt(2) or p = 1j*(a^dag - a)/sqrt(2), a^dag = a^H.
-
-    Built in one new array, in place.  Entry (j, i) is the exact conjugate
-    of entry (i, j), so the result is hermitian to the last bit.  For the
-    columns J of x or p, pass a[:, J] as a and a[J, :] as a_rows: the same
-    operations give the same bits as those columns of the whole.
-    """
-    out = np.conjugate((a if a_rows is None else a_rows).T, order="C")
-    if which == "x":
-        np.add(a, out, out=out)
-    else:
-        np.subtract(out, a, out=out)
-        np.multiply(1j, out, out=out)
-    return np.divide(out, math.sqrt(2.0), out=out)
 
 
 def _check_kind(which: str, dim: int) -> None:
@@ -70,86 +47,78 @@ def _check_kind(which: str, dim: int) -> None:
     check_dense_size(dim, dim, "the operator")
 
 
-def _kind_from_lowering(which: str, a: np.ndarray) -> np.ndarray:
-    """a, adag, x or p as a new array from the lowering matrix a (a itself for "a").
+def _kind(which: str, lowering, raising) -> np.ndarray:
+    """a, a^dag, x = (a + a^dag)/sqrt(2) or p = 1j*(a^dag - a)/sqrt(2) from its two parts.
 
-    a is released once x, p or a^H is formed from it, so two dense arrays
-    are live at most.
+    lowering() and raising() return the a-part and the a^dag-part, each
+    called only for the kinds that use it.  x or p is formed in place in
+    the a^dag-part, a new array: two arrays are live at most.
     """
+    if which == "adag":
+        return raising()
+    lower = lowering()
     if which == "a":
-        return a
-    return _hermitian_part(a, which) if which != "adag" else np.conjugate(a.T)
+        return lower
+    out = raising()
+    if which == "x":
+        np.add(lower, out, out=out)
+    else:
+        np.subtract(out, lower, out=out)
+        np.multiply(1j, out, out=out)
+    return np.divide(out, math.sqrt(2.0), out=out)
 
 
-def _level_lowering(dim: int) -> np.ndarray:
-    """a on the levels: a|n> = sqrt(n)|n-1>."""
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    rows = np.arange(dim - 1)
-    a[rows, rows + 1] = np.sqrt(np.arange(1, dim, dtype=np.float64))
-    return a
-
-
-def _columns_to_sites(b: np.ndarray, cols: slice) -> np.ndarray:
-    """Columns cols of U B: U applied to each column, that is to each row of B^T."""
-    return to_sites(b[:, cols].T).T
-
-
-def _site_factors(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row phases e^{-i phi1}, as a column, and the circulant kernel as a dim x dim view."""
+def _site_lowering(dim: int) -> np.ndarray:
+    """a on the circle sites: row phase e^{-i phi1} times the circulant kernel."""
     kernel_by_diff = np.fft.ifft(np.sqrt(np.arange(dim)))  # S_{dim-1}(e^{2j*pi*d/dim}) / dim
     # windows of [k_1 .. k_{dim-1}, k_0 .. k_{dim-1}], reversed, put
     # k_{(s1 - s2) mod dim} at (s1, s2) as a view: no index array, no copy
     wrapped = np.concatenate((kernel_by_diff[1:], kernel_by_diff))
     kernel = np.lib.stride_tricks.sliding_window_view(wrapped, dim)[:, ::-1]
-    return np.exp(-2j * np.pi * np.arange(dim) / dim)[:, None], kernel
+    return np.exp(-2j * np.pi * np.arange(dim) / dim)[:, None] * kernel
 
 
-def _site_lowering(dim: int) -> np.ndarray:
-    """a on the circle sites: row phase e^{-i phi1} times the circulant kernel."""
-    phase, kernel = _site_factors(dim)
-    return phase * kernel
+def _site_matrix(which: str, dim: int) -> np.ndarray:
+    """The closed-form site matrix of a kind: a^H holds the exact conjugates of a's entries."""
+    a = _site_lowering(dim)
+    # a^H alone keeps the transposed layout, one plain pass; x and p are
+    # formed in a row-major a^H, the layout the artifact columns ravel fast
+    order = "K" if which == "adag" else "C"
+    return _kind(which, lambda: a, lambda: np.conjugate(a.T, order=order))
 
 
-def _site_columns(which: str, phase: np.ndarray, kernel: np.ndarray, cols: slice) -> np.ndarray:
-    """Columns cols of the closed-form site matrix of a kind, bit for bit those of the whole."""
-    a = phase * kernel[:, cols]
-    if which == "a":
-        return a
-    a_rows = phase[cols] * kernel[cols]
-    if which == "adag":
-        return np.conjugate(a_rows.T)
-    return _hermitian_part(a, which, a_rows)
+def _level_rows(which: str, rows: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The level-basis kind applied to each row of rows, root = sqrt(1..N-1).
 
-
-def _conjugation_gap(which: str, dim: int) -> float:
-    """max |closed form - U M U^dag| over the entries, M the level-basis matrix of a kind.
-
-    U and U^dag are symmetric, so B = M U^dag applies U^dag to every row of
-    M, and U B = (B^T U)^T applies U to every row of B^T.  M is transformed
-    in place into B a block of rows at a time, then U B and the closed form
-    are formed and compared a block of columns at a time: B is the one
-    dense array.
+    a|n> = sqrt(n)|n-1> moves entry n of a row to n - 1, and a^dag = a^H
+    moves entry n - 1 to n with the same factor: no matrix is formed.
     """
-    b = _kind_from_lowering(which, _level_lowering(dim))
-    for rows in _blocks(dim):
-        b[rows] = _to_levels(b[rows])
-    phase, kernel = _site_factors(dim)
 
-    def block_gap(cols: slice) -> float:
-        closed = _site_columns(which, phase, kernel, cols)
-        return float(np.max(np.abs(closed - _columns_to_sites(b, cols))))
+    def shifted(source: slice, target: slice) -> np.ndarray:
+        out = np.zeros_like(rows)
+        np.multiply(root, rows[:, source], out=out[:, target])
+        return out
 
-    return max(block_gap(cols) for cols in _blocks(dim))
+    up, down = slice(1, None), slice(None, -1)
+    return _kind(which, lambda: shifted(up, down), lambda: shifted(down, up))
 
 
 def compare_matrix_elements(which: str, dim: int) -> tuple[np.ndarray, float]:
     """The closed-form circle-site matrix of a kind and its max entrywise gap to U M U^dag.
 
-    The gap is taken first, with the level-basis matrix transformed in
-    place and the rest in column blocks; the closed form is built once
-    that array is gone.  So two dense arrays are live at most: those of
-    the closed form's own build.
+    The closed form is built once, whole.  The gap is then taken
+    _BLOCK_ENTRIES entries at a time: columns c of U M U^dag, as rows, are
+    U M U^dag e_c, that is ``to_sites`` of the level-basis kind applied to
+    ``_to_levels`` of the unit rows e_c.  So the closed form's own build,
+    two dense arrays for a^dag, x and p and one for a, is the peak.
     """
     _check_kind(which, dim)
-    gap = _conjugation_gap(which, dim)
-    return _kind_from_lowering(which, _site_lowering(dim)), gap
+    closed = _site_matrix(which, dim)
+    root = np.sqrt(np.arange(1.0, dim))
+    step = max(1, _BLOCK_ENTRIES // dim)
+    gap = 0.0
+    for start in range(0, dim, step):
+        unit = np.eye(min(step, dim - start), dim, start, dtype=np.complex128)
+        conjugated = to_sites(_level_rows(which, _to_levels(unit), root))
+        gap = max(gap, float(np.max(np.abs(closed[:, start : start + step] - conjugated.T))))
+    return closed, gap

@@ -155,6 +155,18 @@ def test_map_domains_closure_and_nesting(tmp_path):
     assert np.allclose(top[0, 2:], [1.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec, count",
+    [("1e-12:1e-11:1e-12", 10), ("0.5:0.5000000005:1e-10", 6), ("0.05:1.0:0.05", 20), ("0.1:0.3:0.1", 3)],
+)
+def test_radius_ranges_keep_distinct_radii_and_end_at_stop(spec, count):
+    """Only the last point of a range may snap onto stop, and only from within 1e-9 steps."""
+    radii = cli._radius_spec(spec)
+    assert len(radii) == count
+    assert all(lo < hi for lo, hi in zip(radii, radii[1:]))
+    assert radii[-1] == float(spec.split(":")[1])
+
+
 def test_small_radius_curves_shrink_like_4r(tmp_path):
     out = tmp_path / "domains.csv"
     assert main(["map-domains", "--radii", "0.001", "--samples", "9", "--out", str(out)]) == 0
@@ -217,12 +229,17 @@ def test_matrix_elements_artifact(tmp_path):
 
 @pytest.mark.parametrize("kind", ["a", "adag"])
 def test_matrix_elements_builds_only_the_requested_kind(tmp_path, monkeypatch, kind):
-    def refuse(a, which):
-        raise AssertionError("x or p was built for a ladder operator")
+    built = []
+    form_kind = operators._kind
 
-    monkeypatch.setattr(operators, "_hermitian_part", refuse)
+    def recorded(which, lowering, raising):
+        built.append(which)
+        return form_kind(which, lowering, raising)
+
+    monkeypatch.setattr(operators, "_kind", recorded)
     out = tmp_path / "elements.csv"
     assert main(["matrix-elements", "--n", "16", "--which", kind, "--out", str(out)]) == 0
+    assert built and set(built) == {kind}
 
 
 def test_evolve_stroboscopic(tmp_path):
@@ -530,15 +547,8 @@ def test_matrix_elements_verdict_failure_exit_one(tmp_path, capsys, monkeypatch)
     assert len(payload["columns"]["re_x"]) == 256
 
 
-def test_matrix_elements_gap_sees_a_wrong_closed_form(tmp_path, capsys, monkeypatch):
-    """A row phase off by 1e-8 in the closed form fails the contract at its real tolerance."""
-    site_factors = operators._site_factors
-
-    def planted(dim):
-        phase, kernel = site_factors(dim)
-        return phase * (1.0 + 1e-8), kernel
-
-    monkeypatch.setattr(operators, "_site_factors", planted)
+def assert_matrix_elements_gate_fails(tmp_path, capsys):
+    """compare_matrix_elements and matrix-elements at N = 64 both see a gap above ELEMENT_TOL."""
     assert operators.compare_matrix_elements("x", 64)[1] > cli.ELEMENT_TOL
     out = tmp_path / "elements.json"
     argv = ["matrix-elements", "--n", "64", "--which", "x", "--format", "json"]
@@ -547,6 +557,26 @@ def test_matrix_elements_gap_sees_a_wrong_closed_form(tmp_path, capsys, monkeypa
     assert report["message"].startswith("closed form deviates from conjugation")
     params = json.loads(out.read_text(encoding="utf-8"))["metadata"]["parameters"]
     assert params["passed"] is False and params["max_deviation_x"] > params["tolerance"]
+
+
+def test_matrix_elements_gap_sees_a_wrong_closed_form(tmp_path, capsys, monkeypatch):
+    """A row phase off by 1e-8 in the closed form fails the contract at its real tolerance."""
+    site_lowering = operators._site_lowering
+    monkeypatch.setattr(operators, "_site_lowering", lambda dim: site_lowering(dim) * (1.0 + 1e-8))
+    assert_matrix_elements_gate_fails(tmp_path, capsys)
+
+
+def test_matrix_elements_gap_sees_a_wrong_level_coefficient(tmp_path, capsys, monkeypatch):
+    """One level coefficient sqrt(n) off by 1e-8 on the conjugation side fails the contract too."""
+    level_rows = operators._level_rows
+
+    def planted(which, rows, root):
+        root = root.copy()
+        root[40] *= 1.0 + 1e-8  # sqrt(41): a|41> = sqrt(41)|40>
+        return level_rows(which, rows, root)
+
+    monkeypatch.setattr(operators, "_level_rows", planted)
+    assert_matrix_elements_gate_fails(tmp_path, capsys)
 
 
 def test_map_domains_closure_failure_exit_one(tmp_path, capsys, monkeypatch):

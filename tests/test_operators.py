@@ -73,15 +73,13 @@ def peak_arrays(build, *args):
 
 @pytest.mark.parametrize("kind", ["a", "adag", "x", "p"])
 def test_level_matrix_and_comparison_peak_memory(kind):
-    """At N = 1024 the level-basis a is freed before the copy: one kind within 2.5 arrays.
+    """At N = 1024 the comparison peaks at the closed form's own build.
 
-    The comparison transforms that matrix in place into its row-FFT result,
-    takes the rest in column blocks, and builds the closed form once that
-    array is gone: also within 2.5 arrays.
+    It forms no level-basis matrix: the gap is taken a block of columns at
+    a time, with the level-basis kind applied to vectors, beside the one
+    closed form (one array for a, two while a^H, x or p is formed).
     """
-    level = operators._kind_from_lowering
-    assert peak_arrays(lambda: level(kind, operators._level_lowering(1024))) <= 2.5
-    assert peak_arrays(compare_matrix_elements, kind, 1024) <= 2.5
+    assert peak_arrays(compare_matrix_elements, kind, 1024) <= (1.35 if kind == "a" else 2.05)
 
 
 @pytest.mark.parametrize("kind, arrays", [("a", 1.1), ("adag", 2.05), ("x", 2.05), ("p", 2.05)])
@@ -89,23 +87,49 @@ def test_builders_hand_over_their_array_without_a_copy(kind, arrays):
     """At N = 1024 the closed-form a takes one dense array, not two (the build and its copy).
 
     a^H, x and p need a and the result at once: two arrays, and no copy
-    after a is released.  The comparison holds one array, the row-FFT
-    result, while it takes the gap in column blocks, so its peak is the
-    closed form's own build.
+    after a is released.
     """
-    site = operators._kind_from_lowering
-    assert peak_arrays(lambda: site(kind, operators._site_lowering(1024))) <= arrays
-    assert peak_arrays(compare_matrix_elements, kind, 1024) <= 2.2
+    assert peak_arrays(operators._site_matrix, kind, 1024) <= arrays
+
+
+def gap_in_blocks(monkeypatch, kind, n, columns):
+    """The gap of compare_matrix_elements with _BLOCK_ENTRIES patched to blocks of `columns` columns."""
+    monkeypatch.setattr(operators, "_BLOCK_ENTRIES", columns * n)
+    return compare_matrix_elements(kind, n)[1]
+
+
+def dense_gap(closed, kind, n):
+    """max |closed - U M U^dag| with the dense level-basis M, conjugated by whole-array FFTs."""
+    return float(np.max(np.abs(closed - conjugated(level_operator_entries(kind, n)))))
+
+
+def rounding_bound(n):
+    """4 eps sqrt(2N): how far two FFT roundings of the same gap may differ."""
+    return 4.0 * np.finfo(np.float64).eps * math.sqrt(2.0 * n)
 
 
 @pytest.mark.parametrize("kind", ["a", "adag", "x", "p"])
 @pytest.mark.parametrize("n", [100, 239, 384])
-def test_blockwise_comparison_equals_whole_arrays_bit_for_bit(kind, n):
-    """Row and column blocks of the FFTs and the closed form give the whole-array gap exactly."""
-    level = level_operator_entries(kind, n)
-    whole = np.fft.ifft(np.fft.fft(level, axis=1, norm="ortho"), axis=0, norm="ortho")
+def test_blockwise_comparison_equals_whole_arrays_bit_for_bit(monkeypatch, kind, n):
+    """Column blocks of the level-side route, the library's or 7 columns, give its one-block gap exactly."""
     closed, gap = compare_matrix_elements(kind, n)
-    assert gap == float(np.max(np.abs(closed - whole)))
+    assert gap == gap_in_blocks(monkeypatch, kind, n, 7) == gap_in_blocks(monkeypatch, kind, n, n)
+    assert abs(gap - dense_gap(closed, kind, n)) <= rounding_bound(n)
+
+
+def test_one_closed_form_build_per_comparison(monkeypatch):
+    """The closed form is built once, whole; the gap forms no second one."""
+    builds = []
+    site_lowering = operators._site_lowering
+
+    def counted(dim):
+        builds.append(dim)
+        return site_lowering(dim)
+
+    monkeypatch.setattr(operators, "_site_lowering", counted)
+    for kind in ("a", "adag", "x", "p"):
+        compare_matrix_elements(kind, 300)
+    assert builds == [300] * 4
 
 
 def test_hamiltonian_values():
@@ -146,12 +170,14 @@ def test_spectrum_preserved_by_conjugation():
 
 @pytest.mark.parametrize("kind", ["a", "adag", "x", "p"])
 @pytest.mark.parametrize("n", [2, 16, 64])
-def test_closed_form_matches_conjugation(kind, n):
-    closed, compared_gap = compare_matrix_elements(kind, n)
-    gap = float(np.max(np.abs(closed - conjugated(level_operator_entries(kind, n)))))
+def test_closed_form_matches_conjugation(monkeypatch, kind, n):
+    closed = compare_matrix_elements(kind, n)[0]
+    gap = dense_gap(closed, kind, n)
     assert gap <= AGREEMENT_TOL
-    # the library's blockwise comparison reports that gap exactly
-    assert compared_gap == gap
+    # one column a block and all columns in one block report the same gap
+    compared_gap = gap_in_blocks(monkeypatch, kind, n, 1)
+    assert compared_gap == gap_in_blocks(monkeypatch, kind, n, n)
+    assert abs(compared_gap - gap) <= rounding_bound(n)
 
 
 def test_fft_conjugation_matches_dense_map():
