@@ -25,9 +25,14 @@ _TIE_MARGIN = 1e-9 from 1/2, which leaves out the exact ties that "%.17g"
 rounds to even.  Every other value (a tie, a value beside a power of ten,
 an exponent outside the table, a subnormal) is formatted alone by
 "%.17g".  The text's exponent is then e, and D has 17 - (its trailing
-zeros) significant digits.  An integer field
-is four words: the sign in byte 3, 20 digits with leading zeros NUL in
-bytes 4-23 and the separator from byte 24.  A bool field is one word.
+zeros) significant digits.
+
+An integer field is as wide as the widest magnitude of its run needs: the
+sign in byte 0, then c chunks of 4 digits, most significant first, with
+leading zeros NUL, then the separator.  That is c // 2 + 1 words, one
+while every |v| < 10**4 and three at the 64-bit extremes; a one-chunk
+field is a single table lookup, with no division.  A bool field is one
+word.
 
 The word matrix is field-word-major, one row per word of a field, so the
 kernel writes whole contiguous rows; its transpose is the text's bytes.
@@ -35,6 +40,8 @@ kernel writes whole contiguous rows; its transpose is the text's bytes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
 from itertools import groupby
 from typing import NamedTuple
 
@@ -69,7 +76,8 @@ class _Tables(NamedTuple):
     chunk_zeros: np.ndarray  # trailing zeros of 0..9999 written with 4 digits
     chunk_slotted: np.ndarray  # 0..9999 as "d d d d " with NUL slots, one word
     chunk_digits: np.ndarray  # 0..9999 as 4 digit bytes, the low half of a word
-    int_mask: np.ndarray  # integer words 0-2 that show k digits, column k
+    int_short: np.ndarray  # 0..9999 as a one-chunk integer field less sign and separator
+    int_drop: np.ndarray  # integer words 0-2 with the first z digit slots NUL, column z
     int_limits: np.ndarray  # 10, 100, ..., 10**19: digit counts by searchsorted
 
 
@@ -115,9 +123,8 @@ def _build_tables() -> _Tables:
     keep[:, 6 + 2 * np.arange(17)] = np.where(np.arange(17) < np.arange(18)[:, None], 0xFF, 0)
     dot = np.zeros((18, 40), np.uint8)
     dot[np.arange(17), 7 + 2 * np.arange(17)] = ord(".")
-    int_mask = np.zeros((21, 24), np.uint8)
-    int_mask[:, :4] = 0xFF
-    int_mask[:, 4:] = np.where(np.arange(20) >= 20 - np.arange(21)[:, None], 0xFF, 0)
+    int_drop = np.full((20, 24), 0xFF, np.uint8)
+    int_drop[:, 1:21] = np.where(np.arange(20) < np.arange(20)[:, None], 0, 0xFF)
 
     # 0..9999 indexed as [d0, d1, d2, d3]: its digits and its trailing zeros
     digits = np.empty((10, 10, 10, 10, 4), np.uint8)
@@ -129,6 +136,9 @@ def _build_tables() -> _Tables:
         zeros[(slice(None),) * place + (0,) * (4 - place)] += 1
     slotted = np.zeros((10_000, 8), np.uint8)
     slotted[:, ::2] = digits
+    short = np.zeros((10_000, 8), np.uint8)
+    length = np.searchsorted([10, 100, 1000], np.arange(10_000), side="right") + 1
+    short[:, 1:5] = np.where(np.arange(4) >= 4 - length[:, None], digits, 0)
     return _Tables(
         pow_hi=pow_hi,
         pow_lo=pow_lo,
@@ -142,7 +152,8 @@ def _build_tables() -> _Tables:
         chunk_zeros=zeros.ravel(),
         chunk_slotted=_as_words(slotted).ravel(),
         chunk_digits=digits.view("<u4").ravel().astype(_WORD),
-        int_mask=_as_words(int_mask).T.copy(),
+        int_short=_as_words(short).ravel(),
+        int_drop=_as_words(int_drop).T.copy(),
         int_limits=np.array([10**k for k in range(1, 20)], dtype=np.uint64),
     )
 
@@ -236,32 +247,45 @@ def _fill_floats(out: np.ndarray, x: np.ndarray, seps: list[str]) -> None:
         out[cols, :, rows] = np.array(texts, dtype="S48").view(_WORD).reshape(-1, 6)
 
 
-def _fill_ints(out: np.ndarray, x: np.ndarray, seps: list[str]) -> None:
-    """Integer fields of x, (m, n) of one integer kind, into out, (m, 4, n) words."""
+def _int_chunks(x: np.ndarray) -> int:
+    """The 4-digit chunks that the widest magnitude of x needs, at least one."""
+    widest = max(int(x.max()), -int(x.min()))
+    return (len(str(widest)) + 3) // 4
+
+
+def _fill_ints(out: np.ndarray, x: np.ndarray, seps: list[str], chunks: int) -> None:
+    """Integer fields of x, (m, n) of one integer kind, into out, (m, chunks // 2 + 1, n) words."""
     t = TABLES
-    if x.dtype.kind == "u":
-        negative = np.zeros(x.shape, bool)
-        magnitude = x.astype(np.uint64)
+    signed = x.dtype.kind == "i"
+    magnitude = x.astype(np.int64, copy=False)
+    if signed:
+        magnitude = np.abs(magnitude)  # the least int64 stays itself: 2**63 as a uint64
+    if chunks == 1:
+        out[:, 0] = t.int_short.take(magnitude)
     else:
-        signed = x.astype(np.int64)
-        negative = signed < 0
-        magnitude = signed.view(np.uint64)
-        magnitude = np.where(negative, ~magnitude + np.uint64(1), magnitude)
-    lead = magnitude // np.uint64(10**16)
-    rest = (magnitude - lead * np.uint64(10**16)).astype(np.int64)
-    chunks = [lead.astype(np.intp)]
-    for power in (10**12, 10**8, 10**4):
-        chunks.append(rest // power)
-        rest -= chunks[-1] * power
-    chunks.append(rest)
-    quads = [t.chunk_digits.take(chunk) for chunk in chunks]
-    out[:, 0] = negative.astype(_WORD) * (ord("-") << 24) | quads[0] << 32
-    out[:, 1] = quads[1] | quads[2] << 32
-    out[:, 2] = quads[3] | quads[4] << 32
-    count = np.searchsorted(t.int_limits, magnitude, side="right") + 1
-    for word in range(3):
-        out[:, word] &= t.int_mask[word].take(count)
-    out[:, 3] = _sep_words(seps, 0)
+        magnitude = magnitude.view(np.uint64)
+        parts, rest = [], magnitude
+        for k in range(chunks - 1, 0, -1):
+            power = np.uint64(10 ** (4 * k))
+            parts.append(rest // power)
+            rest = rest - parts[-1] * power
+        parts.append(rest)
+        out[:] = 0
+        for j, part in enumerate(parts):
+            # chunk j takes bytes 1 + 4j to 4 + 4j: bytes 1-4 of word j // 2
+            # for even j, bytes 5-7 of it and byte 0 of the next for odd j
+            word, offset = divmod(1 + 4 * j, 8)
+            quad = t.chunk_digits.take(part)
+            out[:, word] |= quad << np.uint64(8 * offset)
+            if offset == 5:
+                out[:, word + 1] |= quad >> np.uint64(24)
+        count = np.searchsorted(t.int_limits[: 4 * chunks - 1], magnitude, side="right") + 1
+        drop = 4 * chunks - count
+        for word in range(chunks // 2 + 1):
+            out[:, word] &= t.int_drop[word].take(drop)
+    if signed:
+        out[:, 0] |= (x < 0).astype(_WORD) * np.uint64(ord("-"))
+    out[:, chunks // 2] |= _sep_words(seps, (1 + 4 * chunks) % 8)
 
 
 def _fill_bools(out: np.ndarray, x: np.ndarray, seps: list[str]) -> None:
@@ -271,13 +295,15 @@ def _fill_bools(out: np.ndarray, x: np.ndarray, seps: list[str]) -> None:
     out[:, 0] = words.take(x.view(np.uint8) + 2 * np.arange(len(seps), dtype=np.uint8)[:, None])
 
 
-# words per field and the fill function, per dtype kind
-_KERNEL_FIELDS = {
-    "b": (1, _fill_bools),
-    "i": (4, _fill_ints),
-    "u": (4, _fill_ints),
-    "f": (6, _fill_floats),
-}
+def _field(x: np.ndarray) -> tuple[int, Callable]:
+    """Words per field of a run x, (columns, rows) of one dtype kind, and its fill function."""
+    kind = x.dtype.kind
+    if kind == "f":
+        return 6, _fill_floats
+    if kind == "b":
+        return 1, _fill_bools
+    chunks = _int_chunks(x)
+    return chunks // 2 + 1, partial(_fill_ints, chunks=chunks)
 
 
 def block_text(block: list[np.ndarray], seps: list[str]) -> bytes:
@@ -287,13 +313,16 @@ def block_text(block: list[np.ndarray], seps: list[str]) -> bytes:
     (columns, rows) array, so the fixed cost is paid per run, not per column.
     """
     rows = len(block[0])
-    words = np.empty((sum(_KERNEL_FIELDS[arr.dtype.kind][0] for arr in block), rows), _WORD)
-    start = 0
-    for kind, run in groupby(zip(block, seps), key=lambda pair: pair[0].dtype.kind):
+    runs = []
+    for _, run in groupby(zip(block, seps), key=lambda pair: pair[0].dtype.kind):
         arrays, run_seps = zip(*run)
-        width, fill = _KERNEL_FIELDS[kind]
-        stop = start + width * len(arrays)
-        fill(words[start:stop].reshape(len(arrays), width, rows), np.stack(arrays), list(run_seps))
+        x = np.stack(arrays)
+        runs.append((x, list(run_seps), *_field(x)))
+    words = np.empty((sum(len(x) * width for x, _, width, _ in runs), rows), _WORD)
+    start = 0
+    for x, run_seps, width, fill in runs:
+        stop = start + width * len(x)
+        fill(words[start:stop].reshape(len(x), width, rows), x, run_seps)
         start = stop
     text = words.T.tobytes()
     del words

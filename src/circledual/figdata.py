@@ -10,8 +10,8 @@ The writers work column by column.  Every column is checked whole first
 (1-d, bool/int/float, floats finite) and the metadata rendered, before the
 file is opened, so a value that cannot be written leaves nothing behind.
 Cells then go out in blocks of about ``_BLOCK_CELLS`` (whole CSV rows, or
-entries of one JSON column array), so a block takes about half a MiB of
-memory at any artifact size.  The text is ``"%.17g"`` per float, ``"%d"`` per
+entries of one JSON column array), so a block takes about 2 MiB of memory
+at any artifact size.  The text is ``"%.17g"`` per float, ``"%d"`` per
 integer and ``true``/``false`` per bool, by one of two routes that give
 the same bytes, chosen by the block's cell count:
 
@@ -19,14 +19,15 @@ the same bytes, chosen by the block's cell count:
   once per row, so no Python code runs per cell, but each float goes
   through CPython's correctly rounded dtoa on its own;
 * from ``_KERNEL_CELLS`` cells, a numpy kernel (``_textkernel``) that
-  lays every value out as a fixed-width field.  Its fixed cost of
-  0.1-0.2 ms per block is what the crossover pays back; at 1024 cells the
-  kernel was the faster route for every column mix measured.  A float
+  lays every value out as a fixed-width field, an integer's only as wide
+  as its block's widest magnitude needs.  Its fixed cost per block is what
+  the crossover pays back; at 1024 cells the kernel was the faster route
+  for every column mix measured.  A float
   whose 17 digits it cannot certify (an exact tie, a value beside a power
   of ten, |x| outside [1e-292, 1e300), a subnormal) it formats alone by
   ``"%.17g"``.
 
-On a 2-vCPU Xeon, 10^6 floats took 1.04 s through the template and 0.29 s
+On a 2-vCPU Xeon, 10^6 floats took 0.57 s through the template and 0.15 s
 through the kernel, in one session.
 """
 
@@ -108,10 +109,11 @@ def _render_json(obj, indent: int = 0) -> str:
 
 # Cells formatted at a time: a CSV block is _BLOCK_CELLS // columns rows, a
 # JSON block _BLOCK_CELLS entries of one column.  Bounds the memory a block
-# takes to about half a MiB whatever the artifact size.  The kernel's cost
-# per cell is the same at 4 and 8 Ki cells, and about a third higher from
-# 16 Ki, where its arrays no longer stay in cache.
-_BLOCK_CELLS = 4096
+# takes to about 2 MiB whatever the artifact size.  A pass of the `elements`
+# benchmark, many commands with other work between them, took 0.98, 0.80 and
+# 0.88 times its 4 Ki-cell time at 8, 16 and 32 Ki cells (medians of 8
+# rounds); 10^6 floats written in one loop take the same time at 4 and 16 Ki.
+_BLOCK_CELLS = 16384
 
 
 def _checked_columns(fig: FigureData) -> list[np.ndarray]:

@@ -11,7 +11,8 @@ direct way, through an N x N difference-index array, and
 a|n> = sqrt(n)|n-1> written entry by entry.  ``reference_csv`` and
 ``reference_json`` are the artifact writers cell by cell: every value goes
 through one scalar formatter, every JSON array through one recursive
-renderer.  ``companion_roots`` finds the roots of S_n as eigenvalues of
+renderer; ``reference_fields`` is the text of one writer block by the same
+formatter.  ``companion_roots`` finds the roots of S_n as eigenvalues of
 the companion matrix (``np.roots``) polished by one Newton step.
 ``gaussian_states_one_by_one`` draws random states one per call, n real
 then n imaginary parts, each over its ``np.linalg.norm``.
@@ -139,6 +140,14 @@ def reference_json(fig):
     """The JSON artifact of a FigureData as bytes, metadata and columns alike rendered recursively."""
     payload = {"metadata": fig.metadata, "columns": dict(fig.columns)}
     return (_reference_render(payload) + "\n").encode("utf-8")
+
+
+def reference_fields(columns, seps):
+    """Rows of the columns as bytes, cell by cell, each field followed by its column's separator."""
+    arrays = [np.asarray(column) for column in columns]
+    rows = ("".join(_reference_number(arr[i]) + sep for arr, sep in zip(arrays, seps))
+            for i in range(len(arrays[0])))
+    return "".join(rows).encode("utf-8")
 
 
 def neville_at_zero(xs, ys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_csv, reference_json
+from oracles import reference_csv, reference_fields, reference_json
 
 from circledual import DimensionError, DomainError, _textkernel, cli, figdata
 from circledual._textkernel import _E_MAX, _E_MIN
@@ -338,6 +338,87 @@ def test_kernel_matches_reference_on_any_finite_floats(values):
 def test_kernel_matches_reference_on_any_64_bit_integers(signed, unsigned):
     assert_kernel_matches_reference(np.array(signed, dtype=np.int64))
     assert_kernel_matches_reference(np.array(unsigned, dtype=np.uint64))
+
+
+# An integer field is the sign, then as many 4-digit chunks as the widest
+# magnitude of its run needs, then the separator: chunks // 2 + 1 words.
+_INT_DTYPES = (np.int64, np.uint64, np.int32)
+_SEPARATORS = [",", "\n", ", "]
+
+
+def widest_magnitude(dtype):
+    info = np.iinfo(dtype)
+    return max(int(info.max), -int(info.min))
+
+
+def int_field_words(widest):
+    return -(-len(str(widest)) // 4) // 2 + 1
+
+
+def integer_block(rng, dtype, widest, cells):
+    """cells integers of dtype, one of them +-widest and the rest 0, small or up to widest."""
+    signed = np.iinfo(dtype).min < 0
+    kind = rng.integers(0, 3, cells)
+    magnitudes = np.where(kind == 0, 0, rng.integers(0, 100, cells, dtype=np.uint64))
+    wide = kind == 2
+    magnitudes[wide] = rng.integers(0, widest, int(wide.sum()), dtype=np.uint64, endpoint=True)
+    magnitudes[rng.integers(0, cells)] = widest
+    negative = rng.random(cells) < 0.5 if signed else np.zeros(cells, bool)
+    negative |= magnitudes > np.iinfo(dtype).max  # the least signed value
+    return np.array([-int(m) if neg else int(m) for m, neg in zip(magnitudes, negative)],
+                    dtype=dtype)
+
+
+def assert_integer_block_matches_reference(values, columns, seps):
+    """values as a block of columns (each one separator), checked against the oracle."""
+    block = list(values.reshape(columns, -1))
+    assert _textkernel.block_text(block, seps) == reference_fields(block, seps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(dtype, decade) for dtype in _INT_DTYPES for decade in range(20)
+                     if 10**decade <= widest_magnitude(dtype)]),
+    st.integers(1, 3),
+    st.integers(1, 2 * _BLOCK_CELLS),
+    st.lists(st.sampled_from(_SEPARATORS), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_integer_fields_match_reference_at_every_width(case, columns, cells, seps, seed):
+    """The block's widest |value| in [10^d, 10^(d+1)) for every decade d a dtype holds."""
+    dtype, decade = case
+    rng = np.random.default_rng(seed)
+    widest = int(rng.integers(10**decade, min(10 ** (decade + 1) - 1, widest_magnitude(dtype)),
+                              dtype=np.uint64, endpoint=True))
+    rows = max(1, cells // columns)
+    values = integer_block(rng, dtype, widest, columns * rows)
+    assert _textkernel._field(values.reshape(columns, rows))[0] == int_field_words(widest)
+    assert_integer_block_matches_reference(values, columns, seps[:columns])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("widest", [10 ** (4 * k) + step for k in range(1, 5) for step in (-1, 0)])
+def test_integer_fields_change_width_at_each_chunk(dtype, widest):
+    """+-(10^(4k) - 1) and +-10^(4k): the last value of k chunks and the first of k + 1."""
+    rng = np.random.default_rng(widest)
+    for sign in (1, -1) if dtype is np.int64 else (1,):
+        values = integer_block(rng, dtype, widest, 2 * _KERNEL_CELLS)
+        values[0] = sign * widest
+        assert _textkernel._field(values[None])[0] == int_field_words(widest)
+        for columns, seps in ((1, ["\n"]), (1, [", "]), (2, [",", "\n"])):
+            assert_integer_block_matches_reference(values, columns, seps)
+
+
+def test_integers_below_ten_thousand_take_one_word_per_field():
+    """4096 integers with |v| < 10^4 are one 8-byte word each, sign and separator included."""
+    small = np.arange(4096) * 4 - 8190
+    assert np.abs(small).max() == 8190
+    assert _textkernel._field(small[None])[0] == 1
+    assert _textkernel._field(np.stack([small, small]))[0] == 1
+    assert_kernel_matches_reference(small)
+    assert _textkernel._field(np.array([[0, 10**4]]))[0] == 2
+    assert _textkernel._field(np.array([[np.iinfo(np.int64).min]]))[0] == 3
+    assert _textkernel._field(np.array([[2**64 - 1]], dtype=np.uint64))[0] == 3
 
 
 def test_power_table_is_within_its_error_bound():
