@@ -211,15 +211,19 @@ def synthetic_figure(rows, seed=0):
 
 # the synthetic figure has 7 columns: its CSV blocks are _BLOCK_CELLS // 7 rows and
 # take the kernel from ceil(_KERNEL_CELLS / 7) rows, its JSON column blocks from
-# _KERNEL_CELLS rows; each boundary is written one row short of it, at it and past it
+# _KERNEL_CELLS rows; each boundary is written one row short of it, at it and past it.
+# The edges of 4 Ki-cell blocks (585 CSV rows, 4096 JSON entries) stay as cases of
+# a figure that ends inside its first block.
 _CSV_BLOCK_ROWS = _BLOCK_CELLS // 7
 _CSV_KERNEL_ROWS = -(-_KERNEL_CELLS // 7)
+_SMALL_BLOCK_CELLS = 4096
 
 
 @pytest.mark.parametrize(
     "rows",
     [0, 1]
-    + [edge + step for edge in (_CSV_KERNEL_ROWS, _CSV_BLOCK_ROWS, _KERNEL_CELLS, _BLOCK_CELLS)
+    + [edge + step for edge in (_CSV_KERNEL_ROWS, _CSV_BLOCK_ROWS, _KERNEL_CELLS, _BLOCK_CELLS,
+                                _SMALL_BLOCK_CELLS // 7, _SMALL_BLOCK_CELLS)
        for step in (-1, 0, 1)],
 )
 def test_synthetic_columns_match_reference_writer(rows, tmp_path):
