@@ -131,8 +131,7 @@ def reference_csv(fig):
     names = list(fig.columns)
     arrays = [np.asarray(fig.columns[name]) for name in names]
     lines = [",".join(names)]
-    for i in range(fig.rows):
-        lines.append(",".join(_reference_number(arr[i]) for arr in arrays))
+    lines.extend(",".join(_reference_number(value) for value in row) for row in zip(*arrays))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

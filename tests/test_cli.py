@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -42,6 +43,32 @@ def run_subprocess(*argv, src=SRC):
     )
 
 
+# the launched command is this wrapper's only child, so the wrapper's
+# RUSAGE_CHILDREN is its peak.  Neither pytest's RUSAGE_CHILDREN (the largest
+# child it ever reaped) nor the command's own RUSAGE_SELF (Linux carries the
+# high-water mark of the process that launched it across exec) is.
+_PEAK_OF_CHILD = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run(sys.argv[2:], timeout=float(sys.argv[1])).returncode\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_measured(*argv, timeout=60):
+    """``run_subprocess`` within ``timeout`` seconds, and the launched process's peak RSS in MiB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_OF_CHILD, str(timeout), sys.executable, "-m", "circledual", *argv],
+        capture_output=True,
+        text=True,
+        env={**LAUNCH_ENV, "PYTHONPATH": SRC},
+    )
+    *stderr, peak_kib = proc.stderr.split("\n")[:-1]
+    assert peak_kib.isdigit(), proc.stderr  # the wrapper failed: the command timed out
+    proc.stderr = "".join(line + "\n" for line in stderr)
+    return proc, int(peak_kib) / 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_launches_write_no_bytecode_into_the_source_tree(tmp_path):
     src = tmp_path / "src"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -70,15 +97,21 @@ def test_spectrum_scaled_omega(tmp_path):
 
 
 def test_duality_check_report(tmp_path):
+    """All 2N + 1 values of k, and step k and step k + N (one residue, evaluated once)
+    carry the same gap."""
     out = tmp_path / "report.json"
-    assert main(["duality-check", "--n", "11", "--trials", "20", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    meta = payload["metadata"]
-    assert meta["command"] == "duality-check"
-    assert meta["parameters"]["max_deviation"] <= 1e-10
-    assert meta["parameters"]["passed"] is True
-    assert len(payload["columns"]["k"]) == 2 * 11 + 1
-    assert meta["timestamp"] is None
+    for n, trials in ((11, 20), (512, 10)):
+        assert main(["duality-check", "--n", str(n), "--trials", str(trials), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        meta = payload["metadata"]
+        assert meta["command"] == "duality-check"
+        assert meta["parameters"]["max_deviation"] <= 1e-10
+        assert meta["parameters"]["passed"] is True
+        k, gap = payload["columns"]["k"], payload["columns"]["max_deviation"]
+        assert k == list(range(2 * n + 1))
+        assert all(gap[i] == gap[i + n] for i in range(n + 1))
+        assert max(gap) <= 1e-10
+        assert meta["timestamp"] is None
 
 
 def test_duality_check_draws_its_batch_at_once(tmp_path):
@@ -101,58 +134,86 @@ def test_duality_check_streams_its_trials(tmp_path, monkeypatch):
 
 
 def test_duality_check_memory_does_not_grow_with_trials(tmp_path):
-    """2^22 trials of N = 1 peak far below one batch-sized array (64 MiB) at 2^18-entry blocks."""
+    """2^22 trials of N = 1 peak far below one batch-sized array (64 MiB) at 2^18-entry blocks,
+    and are a few block draws: well inside 20 s."""
     out = tmp_path / "wide.json"
+    start = time.perf_counter()
     tracemalloc.start()
     try:
         assert main(["duality-check", "--n", "1", "--trials", str(2**22), "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - start < 20.0
     assert peak < 32 * 2**20, peak / 2**20
 
 
+def test_duality_check_at_the_ceiling_peaks_under_150_mib(tmp_path):
+    """The 4096^2 trials of N = 1 stream through blocks of 2^18 amplitudes: the launched
+    process peaks under 150 MiB, where one batch-sized array alone is 256 MiB."""
+    out = tmp_path / "ceiling.json"
+    argv = ["duality-check", "--n", "1", "--trials", str(4096**2), "--format", "json"]
+    proc, peak_mib = run_measured(*argv, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert peak_mib < 150, peak_mib
+    assert json.loads(out.read_text(encoding="utf-8"))["metadata"]["parameters"]["passed"] is True
+
+
 def test_f_curve_columns_and_pi_behavior(tmp_path):
-    out = tmp_path / "f.csv"
-    assert main(["f-curve", "--samples", "720", "--out", str(out)]) == 0
-    header, data = read_csv(out)
-    assert header == ["phi", "re_f", "im_f"]
-    assert data.shape[0] == 721
-    phi, im_f = data[:, 0], data[:, 2]
-    at_pi = np.isclose(np.abs(phi), math.pi, atol=1e-12)
-    assert at_pi.sum() == 2
-    assert np.max(np.abs(im_f[at_pi])) <= 1e-8
-    # odd imaginary part across the curve
-    assert abs(im_f[0] + im_f[-1]) <= 1e-8
+    out = tmp_path / "f.json"
+    for samples in (720, 7200):
+        assert main(["f-curve", "--samples", str(samples), "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert list(payload["columns"]) == ["phi", "re_f", "im_f"]
+        assert payload["metadata"]["parameters"]["max_error_estimate"] <= 1e-13
+        phi, im_f = (np.array(payload["columns"][name]) for name in ("phi", "im_f"))
+        assert phi.size == samples + 1
+        at_pi = np.isclose(np.abs(phi), math.pi, atol=1e-12)
+        assert at_pi.sum() == 2
+        assert np.max(np.abs(im_f[at_pi])) <= 1e-8
+        # odd imaginary part across the curve
+        assert abs(im_f[0] + im_f[-1]) <= 1e-8
 
 
-def test_zeros_artifact(tmp_path):
+@pytest.mark.parametrize("n", [64, 512])
+def test_zeros_artifact(tmp_path, n):
+    """The written roots: all n, closed under conjugation, and each residual, as written and
+    recomputed from the written roots, within the 1e-8 * sqrt(n) that sqrt_series_zeros enforces."""
     out = tmp_path / "zeros.json"
-    assert main(["zeros", "--n", "64", "--out", str(out)]) == 0
+    assert main(["zeros", "--n", str(n), "--out", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     meta = payload["metadata"]["parameters"]
-    roots = payload["columns"]
-    assert len(roots["re"]) == 64
-    coeff_sum = meta["coeff_sum"]
-    assert max(roots["residual"]) <= 1e-8 * coeff_sum
-    assert meta["residual"] <= 1e-8 * coeff_sum
+    columns = payload["columns"]
+    roots = np.array(columns["re"]) + 1j * np.array(columns["im"])
+    assert roots.size == n
+    assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj()))
+    bound = 1e-8 * math.sqrt(n)
+    coeffs = np.append(np.sqrt(np.arange(n, 0, -1.0)), 0.0)
+    assert np.max(np.abs(np.polyval(coeffs, roots))) <= bound
+    assert max(columns["residual"]) <= bound
+    assert meta["residual"] <= bound
 
 
 def test_map_domains_closure_and_nesting(tmp_path):
-    out = tmp_path / "domains.csv"
-    code = main(["map-domains", "--radii", "0.05:1.0:0.05", "--samples", "181", "--out", str(out)])
-    assert code == 0
-    header, data = read_csv(out)
-    assert header == ["radius", "theta", "re_y", "im_y"]
-    radii = np.unique(data[:, 0])
-    assert radii.size == 20
-    for r in radii:
-        rows = data[data[:, 0] == r]
-        gap = math.hypot(rows[0, 2] - rows[-1, 2], rows[0, 3] - rows[-1, 3])
-        assert gap <= 1e-12
-    # r = 1 curve contains the cut endpoint y = 1 at theta = 0
-    top = data[np.isclose(data[:, 0], 1.0) & (data[:, 1] == 0.0)]
-    assert np.allclose(top[0, 2:], [1.0, 0.0], atol=1e-12)
+    out = tmp_path / "domains.json"
+    for flags, count, samples in ((["--radii", "0.05:1.0:0.05", "--samples", "181"], 20, 181),
+                                  (["--radii", "0.01:1:0.01"], 100, 721)):
+        assert main(["map-domains", *flags, "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        params = payload["metadata"]["parameters"]
+        assert list(payload["columns"]) == ["radius", "theta", "re_y", "im_y"]
+        assert params["closure_gap"] <= 1e-12 and params["nesting_violations"] == 0
+        data = np.array(list(payload["columns"].values())).T
+        assert data.shape[0] == count * (samples + 1)
+        radii = np.unique(data[:, 0])
+        assert radii.size == count
+        for r in radii:
+            curve = data[data[:, 0] == r]
+            gap = math.hypot(curve[0, 2] - curve[-1, 2], curve[0, 3] - curve[-1, 3])
+            assert gap <= 1e-12
+        # r = 1 curve contains the cut endpoint y = 1 at theta = 0
+        top = data[np.isclose(data[:, 0], 1.0) & (data[:, 1] == 0.0)]
+        assert np.allclose(top[0, 2:], [1.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -262,20 +323,21 @@ def test_evolve_one_hot_site(tmp_path):
 
 def test_evolve_offgrid_reports_deviation(tmp_path):
     out = tmp_path / "evolve.json"
-    code = main(
-        ["evolve", "--n", "8", "--state", "random", "--time", "0.3",
-         "--format", "json", "--out", str(out)]
-    )
-    assert code == 0
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    params = payload["metadata"]["parameters"]
-    assert "weight_transport" not in payload["columns"]
-    # the reported gap is the one to the nearest rotation of the written weights
-    columns = {name: np.array(values) for name, values in payload["columns"].items()}
-    nearest = np.roll(columns["weight_initial"], params["nearest_k"])
-    gap = np.max(np.abs(columns["weight_quantum"] - nearest))
-    assert params["nearest_k"] == round(0.3 * 8 / (2 * math.pi)) % 8
-    assert params["deviation_from_nearest_rotation"] == gap
+    for n, t in ((8, 0.3), (64, 123.456)):
+        code = main(
+            ["evolve", "--n", str(n), "--state", "random", "--time", str(t),
+             "--format", "json", "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        params = payload["metadata"]["parameters"]
+        assert "weight_transport" not in payload["columns"]
+        # the reported gap is the one to the nearest rotation of the written weights
+        columns = {name: np.array(values) for name, values in payload["columns"].items()}
+        nearest = np.roll(columns["weight_initial"], params["nearest_k"])
+        gap = np.max(np.abs(columns["weight_quantum"] - nearest))
+        assert params["nearest_k"] == round(t * n / (2 * math.pi)) % n
+        assert params["deviation_from_nearest_rotation"] == gap
 
 
 def test_evolve_at_a_billion_steps_keeps_the_contract(tmp_path):
@@ -347,6 +409,11 @@ def test_auxfun_eval_f_and_g(tmp_path):
     assert main(["auxfun-eval", "--function", "g", "--phi", "2.0", "--out", str(out2)]) == 0
     _, gdata = read_csv(out2)
     assert abs(gdata[0, 1] - -0.44881365681338) < 1e-7
+    # f at -phi is the exact conjugate of f at phi
+    out3 = tmp_path / "fpm.csv"
+    assert main(["auxfun-eval", "--function", "f", "--phi=0.3,-0.3,2.9,-2.9", "--out", str(out3)]) == 0
+    _, pm = read_csv(out3)
+    assert np.array_equal(pm[0::2, 1], pm[1::2, 1]) and np.array_equal(pm[0::2, 2], -pm[1::2, 2])
 
 
 def test_auxfun_eval_z_functions(tmp_path):
@@ -406,13 +473,13 @@ def test_seventeen_digit_serialization(tmp_path):
 # ---------------------------------------------------------------------------
 # one parser per process
 
-# the eight artifacts of the fixed contract; CI writes the same argvs (with
-# auxfun-eval on f) from the shell and through main in one process
+# the artifacts of the fixed contract, one or more per subcommand
 CONTRACT_ARGVS = [
     ["duality-check", "--n", "11", "--trials", "20"],
     ["spectrum", "--n", "11"],
     ["matrix-elements", "--n", "16"],
     ["auxfun-eval", "--function", "G", "--z=0.3:0.4,-0.5:0.1"],
+    ["auxfun-eval", "--function", "f", "--phi=0.3,-2"],
     ["zeros", "--n", "64"],
     ["map-domains", "--radii", "0.25:1:0.25", "--samples", "61"],
     ["f-curve", "--samples", "72"],
@@ -441,7 +508,8 @@ def test_one_parser_per_process(tmp_path, monkeypatch):
 
 def test_no_state_carried_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
     """Usage errors, --version, a failed verdict and other flags of the same subcommand
-    leave nothing behind: each artifact has the bytes a fresh process writes."""
+    leave nothing behind: each artifact has the bytes a fresh process writes, with a null
+    timestamp."""
 
     def exits(code, *argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -472,21 +540,24 @@ def test_no_state_carried_from_one_call_to_the_next(tmp_path, monkeypatch, capsy
     contract(3)
     params = json.loads((tmp_path / "3").read_text(encoding="utf-8"))["metadata"]["parameters"]
     assert params["n"] is None
-    exits(2, "zeros", "--n", "-3", "--out", "x.json")
+    other("auxfun-eval", "--function", "g", "--phi=0.3,-2")
     contract(4)
-    other("map-domains", "--radii", "0.5,0.9", "--samples", "11")
+    exits(2, "zeros", "--n", "-3", "--out", "x.json")
     contract(5)
+    other("map-domains", "--radii", "0.5,0.9", "--samples", "11")
+    contract(6)
     exits(0, "--version")
     other("f-curve", "--samples", "8", "--format", "json")
-    contract(6)
-    other("evolve", "--n", "7", "--state", "ont:2", "--time", "1.5", "--seed", "4")
     contract(7)
+    other("evolve", "--n", "7", "--state", "ont:2", "--time", "1.5", "--seed", "4")
+    contract(8)
 
     for i, argv in enumerate(CONTRACT_ARGVS):
         fresh = tmp_path / f"fresh-{i}"
         proc = run_subprocess(*argv, "--format", "json", "--out", str(fresh))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / f"{i}").read_bytes() == fresh.read_bytes(), argv
+        assert json.loads(fresh.read_text(encoding="utf-8"))["metadata"]["timestamp"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +680,7 @@ OVERSIZED_ROWS = [
     ["map-domains", "--samples", "10000000000000"],
     *(["evolve", "--n", "10000000000000", "--steps", "1", "--state", state]
       for state in ("random", "energy:0", "ont:0")),
+    ["spectrum", "--n", "20000000"],
 ]
 
 
@@ -759,3 +831,18 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def test_workflow_launches_every_subcommand():
+    """The workflow runs each subcommand once through the installed console script and parses
+    its artifact: a new subcommand cannot ship without its launch."""
+    launched = set(re.findall(
+        r"^ +circledual ([a-z-]+) .*--format json --out (\S+)\n +python -m json\.tool \2 > /dev/null$",
+        WORKFLOW.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    ))
+    subparsers = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {command for command, _ in launched} == set(subparsers.choices)

@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -166,22 +164,26 @@ def test_producers_match_reference_writer(produce, tmp_path):
         ["f-curve", "--samples", "30"],
         ["evolve", "--n", "11", "--steps", "2"],
         ["evolve", "--n", "11", "--time", "0.7", "--state", "energy:2"],
+        # real figures at size: blocks from _KERNEL_CELLS cells go through the numpy
+        # kernel, smaller ones through the printf template (the 301-row f curve, and
+        # the last CSV block of the 384^2 matrix elements, 36 rows); the duality
+        # check's k (to 10002) and the spectrum's level (to 19999) take integer
+        # fields of two 4-digit chunks.  No golden hashes: FFT bits vary by platform
+        ["matrix-elements", "--n", "384", "--which", "all"],
+        ["map-domains", "--radii", "0.01:1:0.01"],
+        ["f-curve", "--samples", "7200"],
+        ["f-curve", "--samples", "300"],
+        ["duality-check", "--n", "5001", "--trials", "1"],
+        ["spectrum", "--n", "20000"],
     ],
     ids=lambda argv: " ".join(argv[:3]),
 )
 def test_cli_artifacts_match_reference_writer(argv, tmp_path, monkeypatch):
+    """The command's figure, built once, in both formats against the reference writer."""
     figures = []
-
-    def recording(fig, path, fmt):
-        figures.append(fig)
-        figdata.write_figure(fig, path, fmt)
-
-    monkeypatch.setattr(cli, "write_figure", recording)
-    for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
-        out = tmp_path / f"artifact.{fmt}"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
-        assert out.read_bytes() == reference(figures[-1]), fmt
+    monkeypatch.setattr(cli, "write_figure", lambda fig, path, fmt: figures.append(fig))
+    assert cli.main([*argv, "--out", str(tmp_path / "unwritten")]) == 0
+    assert_matches_reference(figures[0], tmp_path)
 
 
 def synthetic_figure(rows, seed=0):

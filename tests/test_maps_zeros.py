@@ -294,6 +294,8 @@ def test_zeros_match_the_companion_oracle(degree):
     distance = np.abs(roots[:, None] - oracle[None, :])
     assert np.max(np.min(distance, axis=1)) <= 1e-13
     assert np.max(np.min(distance, axis=0)) <= 1e-13
+    # one to one: no oracle root is the nearest of two roots
+    assert np.array_equal(np.sort(np.argmin(distance, axis=1)), np.arange(degree))
 
 
 def test_zeros_report_a_failed_iteration(monkeypatch):
