@@ -2,8 +2,10 @@
 
 ``block_text`` gives exactly the bytes of the printf template in
 ``figdata``: ``"%.17g"`` per float, ``"%d"`` per integer and
-``true``/``false`` per bool, each field followed by its separator.
-``figdata`` calls it for blocks of ``_KERNEL_CELLS`` cells or more.
+``true``/``false`` per bool, each field followed by its separator, and
+``column_texts`` the same per column.  ``figdata`` calls them for blocks
+of ``_KERNEL_CELLS`` cells or more (``_INTEGER_KERNEL_CELLS`` for a block
+of only integers and bools).
 
 Every value gets a fixed-width field of little-endian 64-bit words, its
 separator included, that holds a superset of its text: NUL stands in every
@@ -36,6 +38,10 @@ word.
 
 The word matrix is field-word-major, one row per word of a field, so the
 kernel writes whole contiguous rows; its transpose is the text's bytes.
+A CSV block reads the whole transpose, rows of the artifact.  A JSON
+artifact small enough for one block fills one matrix for all its columns
+(``column_texts``) and reads each column's text from that column's own
+rows, since JSON lays the columns out one after another.
 """
 
 from __future__ import annotations
@@ -306,8 +312,8 @@ def _field(x: np.ndarray) -> tuple[int, Callable]:
     return chunks // 2 + 1, partial(_fill_ints, chunks=chunks)
 
 
-def block_text(block: list[np.ndarray], seps: list[str]) -> bytes:
-    """The template's text of a block, laid out in one word matrix.
+def _words(block: list[np.ndarray], seps: list[str]) -> tuple[np.ndarray, list[slice]]:
+    """The block's word matrix, and the rows that hold each column's fields.
 
     Neighbouring columns of one dtype kind are formatted together, as one
     (columns, rows) array, so the fixed cost is paid per run, not per column.
@@ -319,11 +325,25 @@ def block_text(block: list[np.ndarray], seps: list[str]) -> bytes:
         x = np.stack(arrays)
         runs.append((x, list(run_seps), *_field(x)))
     words = np.empty((sum(len(x) * width for x, _, width, _ in runs), rows), _WORD)
-    start = 0
+    spans, start = [], 0
     for x, run_seps, width, fill in runs:
         stop = start + width * len(x)
         fill(words[start:stop].reshape(len(x), width, rows), x, run_seps)
+        spans.extend(slice(row, row + width) for row in range(start, stop, width))
         start = stop
+    return words, spans
+
+
+def block_text(block: list[np.ndarray], seps: list[str]) -> bytes:
+    """The template's text of a block, row by row, laid out in one word matrix."""
+    words, _ = _words(block, seps)
     text = words.T.tobytes()
     del words
     return text.translate(None, b"\0")
+
+
+def column_texts(block: list[np.ndarray], seps: list[str]) -> list[bytes]:
+    """The template's text of each column of a block on its own, from one word
+    matrix: a column's text is the transpose of its own rows."""
+    words, spans = _words(block, seps)
+    return [words[span].T.tobytes().translate(None, b"\0") for span in spans]

@@ -178,8 +178,9 @@ def _reject(bad: np.ndarray, error: type, message: str, values: np.ndarray) -> N
 def _powers(z: np.ndarray, count: int) -> np.ndarray:
     """Rows z^0 .. z^(count-1), one per point, by a cumulative product.
 
-    The series below, and q and q' of the zero finder, are sums over the
-    rows of such a table, not Python loops over the coefficients.
+    The series below are sums over the rows of such a table, not Python
+    loops over the coefficients; q and q' of the zero finder take a short
+    one (``_quotient_values``).
     """
     powers = np.repeat(z[:, None], count, axis=1)
     powers[:, 0] = 1.0
@@ -199,17 +200,38 @@ def _by_blocks(series, points: np.ndarray, *args) -> list[np.ndarray]:
 
 
 @_pointwise(np.complex128)
-def sqrt_series(n: int, z: np.ndarray) -> np.ndarray:
-    """Partial sum S_n(z) = sum_{k=1..n} sqrt(k) z^k, by Horner's rule at every point."""
+def sqrt_series(n: int, z: np.ndarray) -> SeriesResult:
+    """Partial sum S_n(z) = sum_{k=1..n} sqrt(k) z^k, by Horner's rule at every point.
+
+    The error field is Horner's running error bound (N. J. Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 5.1), which
+    counts the rounding of each sqrt(k) as well.  Step k forms
+    acc_k = fl(fl(acc_{k+1} z) + fl(sqrt k)): the complex product errs by at
+    most sqrt(2) gamma_2 |acc_{k+1} z| < 1.42 eps |acc_{k+1} z|, the sum and
+    the square root by eps/2 of |acc_k| and sqrt(k), and
+    |acc_{k+1} z| <= (1 + eps/2) |acc_k| + sqrt(k), so step k adds at most
+    2 eps (|acc_k| + sqrt(k)).  An error made at step k reaches S_n times
+    z^k, and the last product acc_1 z adds 1.42 eps |acc_1 z|:
+
+        |S_n - computed| <= 2 eps (sum_k |z|^k (|acc_k| + sqrt(k)) + |acc_1 z|).
+    """
     if n < 0:
         raise DimensionError(f"order must be >= 0, got {n}")
     check_dense_size(n, z.size, "the partial sum")
     acc = np.zeros_like(z)
+    r, bound = np.abs(z), np.zeros(z.size)
     # large |z| overflows to inf or nan; the writers reject such values
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n, 0, -1):
-            acc = acc * z + math.sqrt(k)
-        return acc * z
+            root = math.sqrt(k)
+            acc = acc * z + root
+            # bound = sum_{j >= k} |z|^(j-k) (|acc_j| + sqrt(j))
+            bound *= r
+            bound += np.abs(acc)
+            bound += root
+        value = acc * z
+        error = 2.0 * sys.float_info.epsilon * (r * bound + np.abs(value))
+        return SeriesResult(value, error, n * z.size)
 
 
 # --------------------------------------------------------------------------
@@ -234,12 +256,16 @@ def _branch_point_series(mu: np.ndarray, shift: int) -> tuple[np.ndarray, np.nda
     k < 64, is a row sum of the power table, next to the row sum of the
     term magnitudes that scales the roundoff estimate.
     """
-    coeffs = _EXPANSION_COEFFS[shift]
+    value, singular, powers = _branch_point_value(mu, shift)
+    scale = (np.abs(powers) * np.abs(_EXPANSION_COEFFS[shift])).sum(axis=1)
+    return value, _ROUNDOFF * (np.abs(singular) + scale)
+
+
+def _branch_point_value(mu: np.ndarray, shift: int) -> tuple[np.ndarray, ...]:
+    """The value of ``_branch_point_series``, its singular term and its power table."""
     powers = _powers(mu, _EXPANSION_TERMS)
     singular = math.gamma(shift - 0.5) * np.sqrt(-mu) / powers[:, shift]
-    scale = (np.abs(powers) * np.abs(coeffs)).sum(axis=1)
-    value = singular + (powers * coeffs).sum(axis=1)
-    return value, _ROUNDOFF * (np.abs(singular) + scale)
+    return singular + (powers * _EXPANSION_COEFFS[shift]).sum(axis=1), singular, powers
 
 
 def _disk_series(z: np.ndarray, power: float, shift: int) -> SeriesResult:
@@ -398,7 +424,8 @@ def map_to_y(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
     """All complex roots of sqrt_series(degree, .), sorted by argument,
-    with the per-root residuals |S_degree(root)|.
+    with the per-root residuals |S_degree(root)| = |root| |q(root)|, q the
+    quotient S_degree(z) / z that the zero finder evaluates.
 
     ``sqrt_series_zeros`` returns a set whose worst residual is at most
     1e-8 * sqrt(degree), the largest coefficient of S_degree, and whose
@@ -429,6 +456,73 @@ class ZeroSet:
 
 
 MAX_ZERO_DEGREE = 512
+
+
+class _QuotientBlocks(NamedTuple):
+    """The coefficients of q = S_degree / z and q', split for baby-step
+    giant-step evaluation (M. S. Paterson and L. J. Stockmeyer, SIAM J.
+    Comput. 2, 1973) in blocks of B = isqrt(degree) + 1."""
+
+    step: int  # B: the baby steps are z^0 .. z^(B-1), the giant step z^B
+    # (B + 1, blocks * 2): entry [i, 2 b + k] is the coefficient of z^(b B + i)
+    # in q (k = 0) or q' (k = 1), zero past the polynomial; row B is zero, so
+    # that a power table z^0 .. z^B multiplies it whole
+    magnitudes: np.ndarray
+    # the same acting on a complex power table read as (re, im) pairs, with
+    # (re, im) pairs out: the inner sums are one real matrix product
+    pairs: np.ndarray
+
+
+def _quotient_blocks(degree: int) -> _QuotientBlocks:
+    # columns: sqrt(j+1) and (j+1) sqrt(j+2), the coefficients of q and q'
+    table = np.zeros((degree, 2))
+    table[:, 0] = np.sqrt(np.arange(1, degree + 1))
+    table[:-1, 1] = table[1:, 0] * np.arange(1, degree)
+    step = math.isqrt(degree) + 1
+    count = -(-degree // step)
+    padded = np.zeros((count * step, 2))
+    padded[:degree] = table
+    blocks = np.zeros((step + 1, count, 2))
+    blocks[:step] = padded.reshape(count, step, 2).transpose(1, 0, 2)
+    pairs = np.zeros((step + 1, 2, count, 2, 2))
+    pairs[:, 0, ..., 0] = pairs[:, 1, ..., 1] = blocks
+    return _QuotientBlocks(step, blocks.reshape(step + 1, -1), pairs.reshape(2 * step + 2, -1))
+
+
+def _giant_steps(inner: np.ndarray, giant: np.ndarray) -> np.ndarray:
+    """sum_b inner[:, b] giant^b by Horner's rule, for (points, blocks, 2) sums."""
+    acc = inner[:, -1]
+    for b in range(inner.shape[1] - 2, -1, -1):
+        acc = acc * giant[:, None] + inner[:, b]
+    return acc
+
+
+def _quotient_values(z: np.ndarray, blocks: _QuotientBlocks, slack: bool = False):
+    """q and q' at the points z, (points, 2).
+
+    A (points x (B+1)) power table, one real product with the coefficient
+    blocks for the inner sums of B terms, then Horner in z^B over the
+    blocks.  With ``slack``, also sum_j |c_j| |z|^j for the coefficients
+    c_j of q and of q', on the same route from |z^i| and |z^B|.
+
+    Rounding, to first order in eps: the term c_j z^j, j = b B + i, errs by
+    at most (1 + 1.42 j + 0.71 B + 0.5 blocks) eps |c_j| |z|^j.  Its
+    coefficient is rounded once or twice (1 eps); z^i takes i - 1 complex
+    products and its giant steps b B more, each within sqrt(2) gamma_2 <
+    1.42 eps; the inner sum of B real terms, taken in real and imaginary
+    parts, errs by sqrt(2) gamma_B; each block adds one complex sum (eps/2).
+    With j <= degree - 1 and B, blocks <= sqrt(degree) + 1, that stays below
+    4 degree eps sum_j |c_j| |z|^j, the finder's slack, at every degree >= 2.
+    """
+    powers = _powers(z, blocks.step + 1)
+    inner = (powers.view(np.float64) @ blocks.pairs).view(np.complex128)
+    values = _giant_steps(inner.reshape(z.size, -1, 2), powers[:, -1])
+    if not slack:
+        return values
+    magnitudes = np.abs(powers)
+    inner = (magnitudes @ blocks.magnitudes).reshape(z.size, -1, 2)
+    return values, _giant_steps(inner, magnitudes[:, -1])
+
 
 # Aberth-Ehrlich sweeps before sqrt_series_zeros gives up; from the
 # asymptotic start every degree in 1..MAX_ZERO_DEGREE converges in 3.
@@ -470,26 +564,26 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
     q' are widened by their rounding bound) are pairwise disjoint and
     exclude 0, so no two roots stand for one; and the worst residual
     |S_degree(root)| is at most 1e-8 * max coefficient = 1e-8 sqrt(degree).
+    q and q' are evaluated by blocks (``_quotient_values``), in the sweeps
+    and at the inclusion disks, and the residuals are the |root| |q(root)|
+    of the inclusion step.
     """
     if not 1 <= degree <= MAX_ZERO_DEGREE:
         raise DimensionError(f"degree must be in 1..{MAX_ZERO_DEGREE}, got {degree}")
     m = degree - 1
     half = m // 2
     inner, outer = math.sqrt(0.5), math.sqrt(m / degree)
-    # columns: sqrt(j+1) and (j+1) sqrt(j+2), the coefficients of q and q'
-    table = np.zeros((degree, 2))
-    table[:, 0] = np.sqrt(np.arange(1, degree + 1))
-    table[:-1, 1] = table[1:, 0] * np.arange(1, degree)
+    blocks = _quotient_blocks(degree)
     # the asymptotic start: two fixed-point steps from the outer circle.  The
     # annulus lies beyond _DIRECT_RADIUS, so S is sqrt_series_disk's
-    # branch-point route, called without its batch wrapper.
+    # branch-point route, its value only, without its batch wrapper.
     branch = _TAU * np.arange(1, half + m % 2 + 1)
     z = outer * np.exp(1j * branch / (degree + 1))
     if m % 2:
         z[half] = -outer
     for _ in range(2):
         tail = math.sqrt(degree + 1) * (1.0 + z / (2 * (degree + 1) * (1.0 - z)))
-        ratio = (1.0 - z) * _branch_point_series(np.log(z), 2)[0] / tail
+        ratio = (1.0 - z) * _branch_point_value(np.log(z), 2)[0] / tail
         moved = np.exp((np.log(ratio) + 1j * branch) / (degree + 1))
         if m % 2:
             moved[half] = -abs(moved[half])
@@ -501,7 +595,7 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
     while active.any() and sweeps < _ABERTH_SWEEPS:
         sweeps += 1
         idx = np.flatnonzero(active)
-        values = _powers(z[idx], degree) @ table
+        values = _quotient_values(z[idx], blocks)
         newton = values[:, 0] / values[:, 1]
         others[: z.size] = z
         others[z.size :] = z[:half].conj()
@@ -516,13 +610,14 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
         worst_step = float(np.max(np.abs(step)))
         active[idx[np.abs(step) <= 4.0 * sys.float_info.epsilon * modulus]] = False
 
-    disk_gap = math.inf
+    disk_gap, residuals = math.inf, np.zeros(0)
     if m:
         # inclusion radii m (|q| + e) / (|q'| - e'), e and e' the rounding
-        # bounds 4 (m + 1) eps sum |coefficient| |z|^j of q and q'
-        powers = _powers(z, degree)
-        values = powers @ table
-        slack = 4.0 * degree * sys.float_info.epsilon * (np.abs(powers) @ table)
+        # bounds 4 (m + 1) eps sum |coefficient| |z|^j of q and q' (see
+        # _quotient_values)
+        values, slack = _quotient_values(z, blocks, slack=True)
+        slack *= 4.0 * degree * sys.float_info.epsilon
+        residuals = np.abs(z) * np.abs(values[:, 0])
         denominator = np.abs(values[:, 1]) - slack[:, 1]
         radii = np.full(z.size, np.inf)
         held = denominator > 0
@@ -533,9 +628,11 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
         gaps[np.arange(z.size), np.arange(z.size)] = np.inf
         disk_gap = float(np.min(gaps))
 
+    # |S_degree| = |z| |q| at each root, the same at its conjugate, 0 at 0
     roots = np.concatenate([[0.0], z, z[:half].conj()])
-    roots = roots[np.lexsort((np.abs(roots), np.angle(roots)))]
-    zero_set = ZeroSet(degree=degree, roots=roots, residuals=np.abs(sqrt_series(degree, roots)))
+    residuals = np.concatenate([[0.0], residuals, residuals[:half]])
+    order = np.lexsort((np.abs(roots), np.angle(roots)))
+    zero_set = ZeroSet(degree=degree, roots=roots[order], residuals=residuals[order])
     bound = 1e-8 * math.sqrt(degree)
     unconverged = int(np.count_nonzero(active))
     if unconverged or not disk_gap > 0.0 or not zero_set.residual <= bound:

@@ -333,7 +333,7 @@ def _cmd_auxfun_eval(args) -> Outcome:
         if fn == "GN":
             if args.n is None:
                 raise CircleDualError("--function GN needs --n")
-            value, error = sqrt_series(args.n, z), np.zeros(z.size)
+            value, error, _ = sqrt_series(args.n, z)
         else:
             evaluate = {
                 "G": sqrt_series_disk,

@@ -9,23 +9,26 @@ are documented in FORMATS.md.
 The writers work column by column.  Every column is checked whole first
 (1-d, bool/int/float, floats finite) and the metadata rendered, before the
 file is opened, so a value that cannot be written leaves nothing behind.
-Cells then go out in blocks of about ``_BLOCK_CELLS`` (whole CSV rows, or
-entries of one JSON column array), so a block takes about 2 MiB of memory
-at any artifact size.  The text is ``"%.17g"`` per float, ``"%d"`` per
-integer and ``true``/``false`` per bool, by one of two routes that give
-the same bytes, chosen by the block's cell count:
+Cells then go out in blocks of about ``_BLOCK_CELLS``, so a block takes
+about 2 MiB of memory at any artifact size: whole CSV rows, or for JSON
+either every column at once (a group), when all the artifact's cells fit
+one block, or entries of one column array.  The text is ``"%.17g"`` per
+float, ``"%d"`` per integer and ``true``/``false`` per bool, by one of two
+routes that give the same bytes, chosen once per block by its cell count:
 
-* below ``_KERNEL_CELLS`` (1024) cells, one printf-style template repeated
-  once per row, so no Python code runs per cell, but each float goes
-  through CPython's correctly rounded dtoa on its own;
-* from ``_KERNEL_CELLS`` cells, a numpy kernel (``_textkernel``) that
-  lays every value out as a fixed-width field, an integer's only as wide
-  as its block's widest magnitude needs.  Its fixed cost per block is what
-  the crossover pays back; at 1024 cells the kernel was the faster route
-  for every column mix measured.  A float
-  whose 17 digits it cannot certify (an exact tie, a value beside a power
-  of ten, |x| outside [1e-292, 1e300), a subnormal) it formats alone by
-  ``"%.17g"``.
+* below ``_KERNEL_CELLS`` (1024) cells, or ``_INTEGER_KERNEL_CELLS``
+  (256) for a block of only integers and bools, one printf-style
+  template repeated once per row (per column of a JSON group), so no
+  Python code runs per cell, but each float goes through CPython's
+  correctly rounded dtoa on its own;
+* from there on, a numpy kernel (``_textkernel``) that lays every value
+  out as a fixed-width field, an integer's only as wide as its block's
+  widest magnitude needs, in one word matrix per block; a JSON group
+  reads each column's text from its own rows of it.  Its fixed cost per
+  block is what the crossover pays back; at 1024 cells the kernel was the
+  faster route for every column mix measured.  A float whose 17 digits it
+  cannot certify (an exact tie, a value beside a power of ten, |x|
+  outside [1e-292, 1e300), a subnormal) it formats alone by ``"%.17g"``.
 
 On a 2-vCPU Xeon, 10^6 floats took 0.57 s through the template and 0.15 s
 through the kernel, in one session.
@@ -108,7 +111,8 @@ def _render_json(obj, indent: int = 0) -> str:
 
 
 # Cells formatted at a time: a CSV block is _BLOCK_CELLS // columns rows, a
-# JSON block _BLOCK_CELLS entries of one column.  Bounds the memory a block
+# JSON block every column of an artifact of at most _BLOCK_CELLS cells, or
+# else _BLOCK_CELLS entries of one column.  Bounds the memory a block
 # takes to about 2 MiB whatever the artifact size.  A pass of the `elements`
 # benchmark, many commands with other work between them, took 0.98, 0.80 and
 # 0.88 times its 4 Ki-cell time at 8, 16 and 32 Ki cells (medians of 8
@@ -148,8 +152,13 @@ _FIELD = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g"}
 # Cells per block from which the numpy kernel formats the block.  Below it
 # the kernel's fixed cost of 0.1-0.2 ms can outweigh its lower cost per
 # value; from it the kernel was faster for every column mix measured
-# (CHANGES.md has the table).
+# (CHANGES.md has the table).  A block of only integers and bools has no
+# float digits to certify: at 256 cells the kernel took 16-22 us against
+# 34-40 us by the template, for bools and for integers below 10^4 (the
+# site and level indices of the artifacts), so it takes the kernel from
+# _INTEGER_KERNEL_CELLS.
 _KERNEL_CELLS = 1024
+_INTEGER_KERNEL_CELLS = 256
 
 
 def _block_values(arr: np.ndarray) -> list:
@@ -159,17 +168,27 @@ def _block_values(arr: np.ndarray) -> list:
     return arr.tolist()
 
 
-def _block_text(block: list[np.ndarray], seps: list[str]) -> bytes:
-    """Rows of checked column slices as text, each field followed by its separator."""
-    if len(block) * len(block[0]) >= _KERNEL_CELLS:
+def _template_text(block: list[np.ndarray], seps: list[str]) -> bytes:
+    row = "".join(_FIELD[arr.dtype.kind] + sep for arr, sep in zip(block, seps))
+    values = [_block_values(arr) for arr in block]
+    return (row * len(values[0]) % tuple(chain.from_iterable(zip(*values)))).encode()
+
+
+def _block_text(block: list[np.ndarray], seps: list[str], by_column: bool = False):
+    """Rows of checked column slices as text, each field followed by its
+    separator; with ``by_column``, a list of each column's text on its own."""
+    integers = all(arr.dtype.kind in "biu" for arr in block)
+    if len(block) * len(block[0]) >= (_INTEGER_KERNEL_CELLS if integers else _KERNEL_CELLS):
         # imported here, so that importing the package (every CLI launch) does
         # not compile the kernel: about 5 ms where no bytecode cache is written
         from . import _textkernel
 
+        if by_column:
+            return _textkernel.column_texts(block, seps)
         return _textkernel.block_text(block, seps)
-    row = "".join(_FIELD[arr.dtype.kind] + sep for arr, sep in zip(block, seps))
-    values = [_block_values(arr) for arr in block]
-    return (row * len(values[0]) % tuple(chain.from_iterable(zip(*values)))).encode()
+    if by_column:
+        return [_template_text([arr], [sep]) for arr, sep in zip(block, seps)]
+    return _template_text(block, seps)
 
 
 def write_json(fig: FigureData, path) -> None:
@@ -180,11 +199,19 @@ def write_json(fig: FigureData, path) -> None:
         if not columns:
             fh.write(b"{}\n}\n")
             return
+        # an artifact that fits one block is formatted at once, a larger one a
+        # block of one column at a time
+        texts = None
+        if len(columns) * fig.rows <= _BLOCK_CELLS:
+            texts = _block_text(columns, [", "] * len(columns), by_column=True)
         for i, (name, arr) in enumerate(zip(fig.columns, columns)):
             fh.write((("{\n" if i == 0 else ",\n") + f"    {json.dumps(str(name))}: [").encode())
-            for start in range(0, len(arr), _BLOCK_CELLS):
-                text = _block_text([arr[start : start + _BLOCK_CELLS]], [", "])
-                fh.write(text if start + _BLOCK_CELLS < len(arr) else text[:-2])
+            if texts is not None:
+                fh.write(texts[i][:-2])
+            else:
+                for start in range(0, len(arr), _BLOCK_CELLS):
+                    text = _block_text([arr[start : start + _BLOCK_CELLS]], [", "])
+                    fh.write(text if start + _BLOCK_CELLS < len(arr) else text[:-2])
             fh.write(b"]")
         fh.write(b"\n  }\n}\n")
 

@@ -83,22 +83,43 @@ def test_frozen_constants_match_oracles():
 
 def test_partial_sum_single_term():
     z = 0.3 + 0.4j
-    assert sqrt_series(1, z) == z
+    assert sqrt_series(1, z).value == z
 
 
 def test_partial_sum_no_constant_term():
     for n in (1, 5, 40):
-        assert sqrt_series(n, 0.0) == 0.0
+        assert sqrt_series(n, 0.0).value == 0.0
 
 
 def test_partial_sum_at_one():
-    assert abs(sqrt_series(2, 1.0) - (1.0 + math.sqrt(2.0))) < 1e-15
+    assert abs(sqrt_series(2, 1.0).value - (1.0 + math.sqrt(2.0))) < 1e-15
 
 
 def test_partial_sum_matches_naive_summation():
     z = 0.7 * cmath.exp(0.9j)
     naive = sum(math.sqrt(k) * z**k for k in range(1, 31))
-    assert abs(sqrt_series(30, z) - naive) < 1e-13
+    assert abs(sqrt_series(30, z).value - naive) < 1e-13
+
+
+# order 2^14 just inside and outside the circle, and the point where a zero
+# estimate once stood against an error of 4.7e-11
+_PARTIAL_SUM_AUDIT = [
+    (2**14, (1.0 + side * 1e-4) * cmath.exp(1j * arg)) for side in (-1, 1) for arg in (0.3, 1.7, 3.0)
+] + [(20000, 0.9999 * cmath.exp(0.01j))]
+
+
+@pytest.mark.parametrize("n, z", _PARTIAL_SUM_AUDIT)
+def test_partial_sum_error_is_within_its_running_bound(n, z):
+    """Horner's running error bound holds against mpmath at the exact float z."""
+    mpmath = pytest.importorskip("mpmath")
+    result = sqrt_series(n, z)
+    with mpmath.workdps(40):
+        x, exact = mpmath.mpc(z), mpmath.mpc(0)
+        for k in range(n, 0, -1):
+            exact = exact * x + mpmath.sqrt(k)
+        error = float(abs(mpmath.mpc(result.value) - exact * x))
+    assert result.terms == n
+    assert 0.0 < error <= result.error
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +216,7 @@ def test_derivative_chain_term_by_term():
         z = 0.9 * cmath.exp(2j * math.pi * rng.uniform())
         powers = z ** orders
         differentiated = np.sum(orders**2 * (powers / orders**1.5))
-        assert abs(differentiated - sqrt_series(n_trunc, z)) < 1e-12
+        assert abs(differentiated - sqrt_series(n_trunc, z).value) < 1e-12
 
 
 def test_derivative_chain_spectral():
@@ -212,7 +233,7 @@ def test_derivative_chain_spectral():
     modes = np.fft.fft(f_vals)
     wavenumber = np.fft.fftfreq(grid, d=1.0 / grid)
     second = np.fft.ifft(modes * wavenumber**2)  # -(d/dtheta)^2
-    expected = np.array([sqrt_series(n_trunc, zz) for zz in z])
+    expected = np.array([sqrt_series(n_trunc, zz).value for zz in z])
     assert np.max(np.abs(second - expected)) < 1e-9
 
 
@@ -287,7 +308,7 @@ def test_kernel_small_angle_region_still_cross_checks():
 def test_finite_truncation_drift_shrinks():
     """Scaled partial sums at phi = pi drift less per doubling as N grows."""
     z = complex(math.cos(math.pi), math.sin(math.pi))
-    scaled = {n: sqrt_series(n - 1, z) / n for n in (512, 1024, 2048, 4096)}
+    scaled = {n: sqrt_series(n - 1, z).value / n for n in (512, 1024, 2048, 4096)}
     early = abs(scaled[1024] - scaled[512])
     late = abs(scaled[4096] - scaled[2048])
     assert late < early
@@ -464,9 +485,11 @@ def test_batch_equals_pointwise_bit_for_bit(name):
 
 def test_partial_sum_and_map_batches_equal_pointwise_bit_for_bit():
     points = _disk_batch() * 1.7
-    for evaluate in (lambda z: sqrt_series(40, z), map_to_y):
-        batch = evaluate(points)
-        assert np.array_equal(_bits(batch), _bits([evaluate(p) for p in points]))
+    batch = sqrt_series(40, points)
+    singles = [sqrt_series(40, p) for p in points]
+    assert np.array_equal(_bits(batch.value), _bits([s.value for s in singles]))
+    assert np.array_equal(_bits(batch.error), _bits([s.error for s in singles]))
+    assert np.array_equal(_bits(map_to_y(points)), _bits([map_to_y(p) for p in points]))
 
 
 def test_batch_larger_than_a_block_equals_pointwise():

@@ -16,6 +16,7 @@ from circledual import DimensionError, DomainError, _textkernel, cli, figdata
 from circledual._textkernel import _E_MAX, _E_MIN
 from circledual.figdata import (
     _BLOCK_CELLS,
+    _INTEGER_KERNEL_CELLS,
     _KERNEL_CELLS,
     FigureData,
     emit_domain_map,
@@ -175,6 +176,10 @@ def test_producers_match_reference_writer(produce, tmp_path):
         ["f-curve", "--samples", "300"],
         ["duality-check", "--n", "5001", "--trials", "1"],
         ["spectrum", "--n", "20000"],
+        # JSON artifacts of one block, formatted as one group by the kernel: the top
+        # zeros degree (6 x 512 cells) and a duality check of 2 x 601 cells
+        ["zeros", "--n", "512"],
+        ["duality-check", "--n", "300", "--trials", "2"],
     ],
     ids=lambda argv: " ".join(argv[:3]),
 )
@@ -230,6 +235,22 @@ _SMALL_BLOCK_CELLS = 4096
 )
 def test_synthetic_columns_match_reference_writer(rows, tmp_path):
     assert_matches_reference(synthetic_figure(rows), tmp_path)
+
+
+# a JSON artifact of k columns is formatted as one group up to _BLOCK_CELLS // k rows,
+# and a column at a time past it
+_GROUP_COLUMNS = {2: ("index", "bits"), 6: ("flag", "index", "count", "special", "signed", "whole")}
+
+
+@pytest.mark.parametrize(
+    "k, rows",
+    [(k, rows) for k in _GROUP_COLUMNS
+     for rows in (0, *(_BLOCK_CELLS // k + step for step in (-1, 0, 1)))],
+)
+def test_json_groups_match_reference_writer(k, rows, tmp_path):
+    fig = synthetic_figure(rows)
+    fig.columns = {name: fig.columns[name] for name in _GROUP_COLUMNS[k]}
+    assert_matches_reference(fig, tmp_path)
 
 
 def test_no_columns_match_reference_writer(tmp_path):
@@ -437,22 +458,50 @@ def test_power_table_is_within_its_error_bound():
 
 
 def test_blocks_take_the_kernel_from_the_crossover(monkeypatch):
-    """A block of _KERNEL_CELLS cells or more takes the kernel, a smaller one the template."""
+    """A block with a float column takes the kernel from _KERNEL_CELLS cells, a block of
+    only integers and bools from _INTEGER_KERNEL_CELLS; a smaller one takes the template.
+    The rule is the same for a CSV block and for a JSON group read column by column."""
     calls = []
-    kernel = _textkernel.block_text
+    kernels = {"block_text": _textkernel.block_text, "column_texts": _textkernel.column_texts}
 
-    def recording(block, seps):
-        calls.append(len(block) * len(block[0]))
-        return kernel(block, seps)
+    def recording(name):
+        def call(block, seps):
+            calls.append(len(block) * len(block[0]))
+            return kernels[name](block, seps)
+        return call
 
-    monkeypatch.setattr(_textkernel, "block_text", recording)
-    for columns, rows in ((1, _KERNEL_CELLS - 1), (1, _KERNEL_CELLS),
-                          (4, _KERNEL_CELLS // 4 - 1), (4, _KERNEL_CELLS // 4)):
-        calls.clear()
-        block = [np.arange(rows) * 0.1] * columns
-        text = figdata._block_text(block, [","] * (columns - 1) + ["\n"])
-        assert calls == ([columns * rows] if columns * rows >= _KERNEL_CELLS else [])
-        assert text == kernel(block, [","] * (columns - 1) + ["\n"])
+    for name in kernels:
+        monkeypatch.setattr(_textkernel, name, recording(name))
+
+    def floats(rows):
+        return np.arange(rows) * 0.1
+
+    def bools(rows):
+        return np.arange(rows) % 3 == 0
+
+    ints = np.arange
+    cases = [  # the columns of a block, cycled, and the crossover the block takes
+        ([floats], _KERNEL_CELLS),
+        ([ints, floats], _KERNEL_CELLS),
+        ([bools, floats], _KERNEL_CELLS),
+        ([ints], _INTEGER_KERNEL_CELLS),
+        ([bools], _INTEGER_KERNEL_CELLS),
+        ([ints, bools], _INTEGER_KERNEL_CELLS),
+    ]
+    for kinds, crossover in cases:
+        for columns in (len(kinds), 4):
+            for rows in (crossover // columns - 1, crossover // columns):
+                block = [kinds[j % len(kinds)](rows) for j in range(columns)]
+                seps = [","] * (columns - 1) + ["\n"]
+                expected = [columns * rows] if columns * rows >= crossover else []
+                calls.clear()
+                text = figdata._block_text(block, seps)
+                assert calls == expected, (kinds, columns, rows)
+                assert text == kernels["block_text"](block, seps)
+                calls.clear()
+                texts = figdata._block_text(block, [", "] * columns, by_column=True)
+                assert calls == expected, (kinds, columns, rows)
+                assert texts == [kernels["block_text"]([arr], [", "]) for arr in block]
 
 
 def test_writers_hold_a_few_blocks_of_text():

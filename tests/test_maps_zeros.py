@@ -1,5 +1,9 @@
 import cmath
+import functools
+import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from circledual import (
     sqrt_series_sheet2,
     sqrt_series_zeros,
 )
+from circledual.cli import main
 from oracles import companion_roots, map_to_z, neville_at_zero
 
 ROUND_TRIP_TOL = 1e-12
@@ -149,13 +154,13 @@ def test_series_is_cut_free_in_y_when_sheets_are_glued():
     across the cut when the sheet index flips there."""
     delta = 1e-9
     y0 = 2.5
-    above = sqrt_series(40, map_to_z(y0 + 1j * delta, 1))
-    below_other_sheet = sqrt_series(40, map_to_z(y0 - 1j * delta, 2))
+    above = sqrt_series(40, map_to_z(y0 + 1j * delta, 1)).value
+    below_other_sheet = sqrt_series(40, map_to_z(y0 - 1j * delta, 2)).value
     assert abs(above - below_other_sheet) < 1e-5
     # and continuity holds away from the cut without any gluing
     y1 = -1.2 + 0.7j
-    a = sqrt_series(40, map_to_z(y1 + delta, 1))
-    b = sqrt_series(40, map_to_z(y1 - delta, 1))
+    a = sqrt_series(40, map_to_z(y1 + delta, 1)).value
+    b = sqrt_series(40, map_to_z(y1 - delta, 1)).value
     assert abs(a - b) < 1e-6
 
 
@@ -224,7 +229,7 @@ def test_roots_verified_by_horner_residual():
         zs = sqrt_series_zeros(degree)
         assert zs.roots.size == degree
         coeff_peak = math.sqrt(degree)
-        values = np.array([sqrt_series(degree, z) for z in zs.roots])
+        values = sqrt_series(degree, zs.roots).value
         assert np.max(np.abs(values)) <= 1e-8 * coeff_peak
         assert zs.residual <= 1e-8 * coeff_peak
 
@@ -285,6 +290,89 @@ def test_zeros_hold_every_check_at_every_accepted_degree():
         if found:
             faults[degree] = found
     assert not faults
+
+
+# the degrees at which the blocked q and q' and the written residuals meet mpmath:
+# blocks of one and two coefficients, a ragged last block, and the top degrees
+_AUDITED_DEGREES = [2, 3, 17, 64, 250, 511, 512]
+
+
+@functools.cache
+def _exact_at_roots(degree):
+    """The final iterates (the nonzero roots with Im >= 0), and S_degree, q = S_degree / z
+    and q' there by mpmath at 40 digits, from the exact coefficients sqrt(k)."""
+    mpmath = pytest.importorskip("mpmath")
+    roots = sqrt_series_zeros(degree).roots
+    z = roots[(roots.imag >= 0) & (roots != 0)]
+    exact = []
+    with mpmath.workdps(40):
+        coeffs = [mpmath.sqrt(k) for k in range(degree, 0, -1)] + [0]
+        for point in z:
+            x = mpmath.mpc(point)
+            s, ds = mpmath.polyval(coeffs, x, derivative=True)
+            exact.append((s, s / x, (ds * x - s) / x**2))
+    return z, exact
+
+
+def _quotient_slack(degree, z):
+    """q and q' by blocks at z, and the slack 4 degree eps sum |c_j| |z|^j that the
+    inclusion radii add to each."""
+    values, slack = auxfun._quotient_values(z, auxfun._quotient_blocks(degree), slack=True)
+    return values, 4.0 * degree * sys.float_info.epsilon * slack
+
+
+@pytest.mark.parametrize("degree", _AUDITED_DEGREES)
+def test_blocked_quotient_is_within_its_slack(degree):
+    """The inclusion radii widen q and q' by their slack; at the final roots the blocked
+    route's q and q' must lie within it of the exact values."""
+    mpmath = pytest.importorskip("mpmath")
+    z, exact = _exact_at_roots(degree)
+    values, slack = _quotient_slack(degree, z)
+    for k in (0, 1):
+        errors = [float(abs(mpmath.mpc(v) - e[k + 1])) for v, e in zip(values[:, k], exact)]
+        assert np.all(np.array(errors) <= slack[:, k]), (k, max(np.array(errors) / slack[:, k]))
+
+
+@pytest.mark.parametrize("degree", _AUDITED_DEGREES)
+def test_written_residuals_match_mpmath(degree, tmp_path):
+    """The residual column is |root| |q(root)| from the inclusion step: within |root| times
+    q's slack (and the rounding of the product) of mpmath's |S_degree(root)|, and within
+    1e-8 sqrt(degree); a conjugate shares its root's residual and the root 0 has 0."""
+    out = tmp_path / "zeros.json"
+    assert main(["zeros", "--n", str(degree), "--out", str(out)]) == 0
+    columns = json.loads(out.read_text(encoding="utf-8"))["columns"]
+    roots = (np.array(columns["re"]) + 1j * np.array(columns["im"])).tolist()
+    written = dict(zip(roots, columns["residual"]))
+    assert written[0j] == 0.0
+    assert all(written[r.conjugate()] == residual for r, residual in written.items())
+    z, exact = _exact_at_roots(degree)
+    residuals = np.array([written[point] for point in z.tolist()])
+    values, slack = _quotient_slack(degree, z)
+    # at a root the true residual is itself far below the slack, so the comparison with
+    # mpmath bounds the column's error, and this pins where the column comes from
+    assert np.array_equal(residuals, np.abs(z) * np.abs(values[:, 0]))
+    truth = np.array([float(abs(e[0])) for e in exact])
+    slack = np.abs(z) * slack[:, 0]
+    assert np.all(np.abs(residuals - truth) <= slack + 4.0 * sys.float_info.epsilon * residuals)
+    bound = 1e-8 * math.sqrt(degree)
+    assert residuals.max() <= bound and truth.max() <= bound
+
+
+def test_zero_finder_builds_no_full_power_table():
+    """q and q' by blocks need a (points x (isqrt(degree) + 2)) power table, not
+    (points x degree).  At degree 512 the difference matrices of two consecutive Aberth
+    sweeps, (m/2 x m) each, overlap for a peak of 2.18 (m/2 x degree) complex tables;
+    a full power table at the inclusion step, beside the last sweep's matrix, took 2.56."""
+    degree = 512
+    table = (degree - 1) // 2 * degree * 16
+    sqrt_series_zeros(degree)
+    tracemalloc.start()
+    try:
+        sqrt_series_zeros(degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * table, peak / table
 
 
 @pytest.mark.parametrize("degree", sorted({*range(1, 513, 32), 2, 255, 256, 511, 512}))
