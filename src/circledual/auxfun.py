@@ -179,8 +179,8 @@ def _powers(z: np.ndarray, count: int) -> np.ndarray:
     """Rows z^0 .. z^(count-1), one per point, by a cumulative product.
 
     The series below are sums over the rows of such a table, not Python
-    loops over the coefficients; q and q' of the zero finder take a short
-    one (``_quotient_values``).
+    loops over the coefficients; q, q' and q'' of the zero finder take a
+    short one (``_quotient_values``).
     """
     powers = np.repeat(z[:, None], count, axis=1)
     powers[:, 0] = 1.0
@@ -459,7 +459,7 @@ MAX_ZERO_DEGREE = 512
 
 
 class _QuotientBlocks(NamedTuple):
-    """The coefficients of q = S_degree / z and q', split for baby-step
+    """The coefficients of q = S_degree / z, q' and q'', split for baby-step
     giant-step evaluation (M. S. Paterson and L. J. Stockmeyer, SIAM J.
     Comput. 2, 1973) in blocks of B = isqrt(degree) + 1."""
 
@@ -468,29 +468,33 @@ class _QuotientBlocks(NamedTuple):
     # in q (k = 0) or q' (k = 1), zero past the polynomial; row B is zero, so
     # that a power table z^0 .. z^B multiplies it whole
     magnitudes: np.ndarray
-    # the same acting on a complex power table read as (re, im) pairs, with
-    # (re, im) pairs out: the inner sums are one real matrix product
+    # the same with q'' as a third column (k = 2), acting on a complex power
+    # table read as (re, im) pairs, with (re, im) pairs out: the inner sums
+    # are one real matrix product
     pairs: np.ndarray
 
 
 def _quotient_blocks(degree: int) -> _QuotientBlocks:
-    # columns: sqrt(j+1) and (j+1) sqrt(j+2), the coefficients of q and q'
-    table = np.zeros((degree, 2))
+    # columns: sqrt(j+1), (j+1) sqrt(j+2) and (j+1)(j+2) sqrt(j+3), the
+    # coefficients of q, q' and q''
+    table = np.zeros((degree, 3))
     table[:, 0] = np.sqrt(np.arange(1, degree + 1))
     table[:-1, 1] = table[1:, 0] * np.arange(1, degree)
+    table[:-1, 2] = table[1:, 1] * np.arange(1, degree)
     step = math.isqrt(degree) + 1
     count = -(-degree // step)
-    padded = np.zeros((count * step, 2))
+    padded = np.zeros((count * step, 3))
     padded[:degree] = table
-    blocks = np.zeros((step + 1, count, 2))
-    blocks[:step] = padded.reshape(count, step, 2).transpose(1, 0, 2)
-    pairs = np.zeros((step + 1, 2, count, 2, 2))
+    blocks = np.zeros((step + 1, count, 3))
+    blocks[:step] = padded.reshape(count, step, 3).transpose(1, 0, 2)
+    pairs = np.zeros((step + 1, 2, count, 3, 2))
     pairs[:, 0, ..., 0] = pairs[:, 1, ..., 1] = blocks
-    return _QuotientBlocks(step, blocks.reshape(step + 1, -1), pairs.reshape(2 * step + 2, -1))
+    magnitudes = blocks[..., :2].reshape(step + 1, -1)
+    return _QuotientBlocks(step, magnitudes, pairs.reshape(2 * step + 2, -1))
 
 
 def _giant_steps(inner: np.ndarray, giant: np.ndarray) -> np.ndarray:
-    """sum_b inner[:, b] giant^b by Horner's rule, for (points, blocks, 2) sums."""
+    """sum_b inner[:, b] giant^b by Horner's rule, for (points, blocks, columns) sums."""
     acc = inner[:, -1]
     for b in range(inner.shape[1] - 2, -1, -1):
         acc = acc * giant[:, None] + inner[:, b]
@@ -498,7 +502,7 @@ def _giant_steps(inner: np.ndarray, giant: np.ndarray) -> np.ndarray:
 
 
 def _quotient_values(z: np.ndarray, blocks: _QuotientBlocks, slack: bool = False):
-    """q and q' at the points z, (points, 2).
+    """q, q' and q'' at the points z, (points, 3).
 
     A (points x (B+1)) power table, one real product with the coefficient
     blocks for the inner sums of B terms, then Horner in z^B over the
@@ -513,70 +517,42 @@ def _quotient_values(z: np.ndarray, blocks: _QuotientBlocks, slack: bool = False
     parts, errs by sqrt(2) gamma_B; each block adds one complex sum (eps/2).
     With j <= degree - 1 and B, blocks <= sqrt(degree) + 1, that stays below
     4 degree eps sum_j |c_j| |z|^j, the finder's slack, at every degree >= 2.
+    q'' only steers the iteration and enters no certificate, so it needs no
+    such bound.
     """
     powers = _powers(z, blocks.step + 1)
     inner = (powers.view(np.float64) @ blocks.pairs).view(np.complex128)
-    values = _giant_steps(inner.reshape(z.size, -1, 2), powers[:, -1])
+    values = _giant_steps(inner.reshape(z.size, -1, 3), powers[:, -1])
     if not slack:
         return values
+    del inner  # freed before the slack's inner sums are formed
     magnitudes = np.abs(powers)
     inner = (magnitudes @ blocks.magnitudes).reshape(z.size, -1, 2)
     return values, _giant_steps(inner, magnitudes[:, -1])
 
 
-# Aberth-Ehrlich sweeps before sqrt_series_zeros gives up; from the
-# asymptotic start every degree in 1..MAX_ZERO_DEGREE converges in 3.
-_ABERTH_SWEEPS = 64
+def _asymptotic_start(degree: int, inner: float, outer: float) -> np.ndarray:
+    """The starts of the roots of q = S_degree / z in the upper half plane,
+    then of the real one when m = degree - 1 is odd, within the annulus
+    inner <= |z| <= outer.
 
-
-def sqrt_series_zeros(degree: int) -> ZeroSet:
-    """All roots of S_degree by a conjugate-symmetric Aberth-Ehrlich iteration.
-
-    The constant term vanishes, so z = 0 is an exact root.  The other
-    m = degree - 1 are the roots of q(z) = S_degree(z)/z = sum_{j<=m}
-    sqrt(j+1) z^j, whose coefficients increase, so by Enestrom-Kakeya they
-    lie in the annulus 1/sqrt(2) <= |z| <= sqrt(m/(m+1)).
-
-    The start is the asymptotic root.  With n = degree, S_n = S - tail and,
-    by the large-n Lerch expansion (DLMF 25.14),
+    With n = degree, S_n = S - tail and, by the large-n Lerch expansion
+    (DLMF 25.14),
 
         tail(z) = sum_{k>n} sqrt(k) z^k
                 = z^(n+1) sqrt(n+1) / (1 - z) (1 + z / (2 (n+1) (1-z)) + O(n^-2)),
 
     so root j solves z^(n+1) = (1 - z) S(z) / (sqrt(n+1) (1 + ...)) on
-    branch j.  Root j = 1..m/2 of the upper half plane starts at angle
-    2 pi j/(n+1) on the outer circle and takes two fixed-point steps
+    branch j.  Root j = 1..m/2 starts at angle 2 pi j/(n+1) on the outer
+    circle and takes two fixed-point steps
     z <- exp((log((1 - z) S(z) / (sqrt(n+1) (1 + ...))) + 2 pi i j)/(n+1));
-    when m is odd the real root stays on the negative axis and takes the
-    modulus of its step.  At degree 250 the starts lie within 1.7e-5 of the
-    roots (median 1.4e-7), and every degree from 3 to 512 converges in 3
-    sweeps.
-
-    The iteration (O. Aberth, Math. Comp. 27, 1973; D. A. Bini, Numer.
-    Algorithms 13, 1996) moves only the roots in the upper half plane, plus
-    the real one when m is odd, kept real; the rest are their conjugates,
-    so the returned roots come in exact conjugate pairs.  Every start and
-    every iterate is put back into the annulus.
-
-    Three checks must hold, else ``ZeroFindingError`` carries the
-    diagnostics: every iterate converged within the sweep cap; the
-    inclusion disks |z - root| <= m |q/q'| (each holds a root of q; q and
-    q' are widened by their rounding bound) are pairwise disjoint and
-    exclude 0, so no two roots stand for one; and the worst residual
-    |S_degree(root)| is at most 1e-8 * max coefficient = 1e-8 sqrt(degree).
-    q and q' are evaluated by blocks (``_quotient_values``), in the sweeps
-    and at the inclusion disks, and the residuals are the |root| |q(root)|
-    of the inclusion step.
+    the real root stays on the negative axis and takes the modulus of its
+    step.  Each step is put back into the annulus.  The annulus lies beyond
+    _DIRECT_RADIUS, so S is sqrt_series_disk's branch-point route, its
+    value only, without its batch wrapper.
     """
-    if not 1 <= degree <= MAX_ZERO_DEGREE:
-        raise DimensionError(f"degree must be in 1..{MAX_ZERO_DEGREE}, got {degree}")
     m = degree - 1
     half = m // 2
-    inner, outer = math.sqrt(0.5), math.sqrt(m / degree)
-    blocks = _quotient_blocks(degree)
-    # the asymptotic start: two fixed-point steps from the outer circle.  The
-    # annulus lies beyond _DIRECT_RADIUS, so S is sqrt_series_disk's
-    # branch-point route, its value only, without its batch wrapper.
     branch = _TAU * np.arange(1, half + m % 2 + 1)
     z = outer * np.exp(1j * branch / (degree + 1))
     if m % 2:
@@ -589,19 +565,92 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
             moved[half] = -abs(moved[half])
         modulus = np.abs(moved)
         z = moved * (np.clip(modulus, inner, outer) / modulus)
+    return z
+
+
+def _disk_gap(centers: np.ndarray, radii: np.ndarray) -> float:
+    """The smallest gap |c_i - c_j| - r_i - r_j between distinct disks, by
+    sort and sweep; -inf when a radius is not finite.
+
+    With the centres sorted by real part, only pairs whose real parts lie
+    within 4 R of each other are compared, R the largest radius: any other
+    pair stands more than 4 R apart, so its gap exceeds 2 R and the disks
+    are disjoint.  So the verdict (gap > 0) and every gap <= 0 are exactly
+    those of all pairs; a positive gap is the smallest among the pairs
+    compared.  Each pair takes the smaller of its two rounding orders,
+    (d - r_i) - r_j and (d - r_j) - r_i, as the dense gap matrix did.
+    """
+    if not np.all(np.isfinite(radii)):
+        return -math.inf
+    order = np.argsort(centers.real)
+    centers, radii = centers[order], radii[order]
+    reach = 4.0 * np.max(radii)
+    gap = math.inf
+    # the real parts are sorted, so a pair offset by one more is no nearer
+    for offset in range(1, centers.size):
+        near = np.flatnonzero(centers.real[offset:] - centers.real[:-offset] <= reach)
+        if not near.size:
+            break
+        distance = np.abs(centers[near + offset] - centers[near])
+        a, b = radii[near], radii[near + offset]
+        gap = min(gap, float(np.min(np.minimum(distance - a - b, distance - b - a))))
+    return gap
+
+
+# Halley sweeps before sqrt_series_zeros gives up; from the asymptotic start
+# every degree in 1..MAX_ZERO_DEGREE converges in 3.
+_SWEEPS = 64
+
+
+def sqrt_series_zeros(degree: int) -> ZeroSet:
+    """All roots of S_degree by a conjugate-symmetric Halley iteration.
+
+    The constant term vanishes, so z = 0 is an exact root.  The other
+    m = degree - 1 are the roots of q(z) = S_degree(z)/z = sum_{j<=m}
+    sqrt(j+1) z^j, whose coefficients increase, so by Enestrom-Kakeya they
+    lie in the annulus 1/sqrt(2) <= |z| <= sqrt(m/(m+1)).
+
+    The start is the asymptotic root (``_asymptotic_start``).  At degree
+    250 the starts lie within 1.7e-5 of the roots (median 1.4e-7), and every
+    degree from 3 to 512 converges in 3 sweeps.
+
+    Each sweep takes Halley's step z <- z - (q/q') / (1 - (q/q') q''/(2 q'))
+    (W. Gander, Amer. Math. Monthly 92, 1985).  At a simple root the sum
+    over the other roots in Aberth's step (O. Aberth, Math. Comp. 27, 1973),
+    sum_{j != i} 1/(z_i - z_j), equals q''(z_i)/(2 q'(z_i)); Halley's step
+    takes it from q'' at the point, so it has the same cubic order and no
+    (m/2 x m) difference matrix.  Only the roots in the upper half plane
+    move, plus the real one when m is odd, kept real; the rest are their
+    conjugates, so the returned roots come in exact conjugate pairs.  Every
+    iterate is put back into the annulus.
+
+    Three checks must hold, else ``ZeroFindingError`` carries the
+    diagnostics: every iterate converged within the sweep cap; the
+    inclusion disks |z - root| <= m |q/q'| (each holds a root of q; q and
+    q' are widened by their rounding bound) are pairwise disjoint and
+    exclude 0 (``_disk_gap``), so no two roots stand for one; and the worst
+    residual |S_degree(root)| is at most 1e-8 * max coefficient =
+    1e-8 sqrt(degree).  Halley's step does not keep two iterates apart, as
+    Aberth's did; the disk check is what refuses two iterates on one root.
+    q, q' and q'' are evaluated by blocks (``_quotient_values``), in the
+    sweeps and at the inclusion disks, and the residuals are the
+    |root| |q(root)| of the inclusion step.
+    """
+    if not 1 <= degree <= MAX_ZERO_DEGREE:
+        raise DimensionError(f"degree must be in 1..{MAX_ZERO_DEGREE}, got {degree}")
+    m = degree - 1
+    half = m // 2
+    inner, outer = math.sqrt(0.5), math.sqrt(m / degree)
+    blocks = _quotient_blocks(degree)
+    z = _asymptotic_start(degree, inner, outer)
     active = np.ones(z.size, dtype=bool)
-    others = np.empty(m, dtype=np.complex128)
     sweeps, worst_step = 0, 0.0
-    while active.any() and sweeps < _ABERTH_SWEEPS:
+    while active.any() and sweeps < _SWEEPS:
         sweeps += 1
         idx = np.flatnonzero(active)
-        values = _quotient_values(z[idx], blocks)
-        newton = values[:, 0] / values[:, 1]
-        others[: z.size] = z
-        others[z.size :] = z[:half].conj()
-        differences = z[idx, None] - others
-        differences[np.arange(idx.size), idx] = np.inf
-        step = newton / (1.0 - newton * np.sum(np.reciprocal(differences, out=differences), axis=1))
+        q, slope, curvature = _quotient_values(z[idx], blocks).T
+        newton = q / slope
+        step = newton / (1.0 - newton * curvature / (2.0 * slope))
         if m % 2 and idx[-1] == half:
             step[-1] = step[-1].real
         moved = z[idx] - step
@@ -623,10 +672,7 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
         held = denominator > 0
         radii[held] = m * (np.abs(values[held, 0]) + slack[held, 0]) / denominator[held]
         centers = np.concatenate([z, z[:half].conj(), [0.0]])
-        spans = np.concatenate([radii, radii[:half], [0.0]])
-        gaps = np.abs(z[:, None] - centers) - radii[:, None] - spans
-        gaps[np.arange(z.size), np.arange(z.size)] = np.inf
-        disk_gap = float(np.min(gaps))
+        disk_gap = _disk_gap(centers, np.concatenate([radii, radii[:half], [0.0]]))
 
     # |S_degree| = |z| |q| at each root, the same at its conjugate, 0 at 0
     roots = np.concatenate([[0.0], z, z[:half].conj()])
@@ -637,7 +683,7 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
     unconverged = int(np.count_nonzero(active))
     if unconverged or not disk_gap > 0.0 or not zero_set.residual <= bound:
         raise ZeroFindingError(
-            f"Aberth-Ehrlich iteration for degree {degree} failed after {sweeps} sweeps: "
+            f"Halley iteration for degree {degree} failed after {sweeps} sweeps: "
             f"{unconverged} unconverged, smallest inclusion-disk gap {disk_gap:.3e}, "
             f"residual {zero_set.residual:.3e} (bound {bound:.3e})",
             diagnostics={

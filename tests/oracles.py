@@ -13,7 +13,9 @@ a|n> = sqrt(n)|n-1> written entry by entry.  ``reference_csv`` and
 through one scalar formatter, every JSON array through one recursive
 renderer; ``reference_fields`` is the text of one writer block by the same
 formatter.  ``companion_roots`` finds the roots of S_n as eigenvalues of
-the companion matrix (``np.roots``) polished by one Newton step.
+the companion matrix (``np.roots``) polished by one Newton step, and
+``dense_disk_gap`` checks inclusion disks through the full (disks x disks)
+gap matrix.
 ``gaussian_states_one_by_one`` draws random states one per call, n real
 then n imaginary parts, each over its ``np.linalg.norm``.
 ``duality_gaps_per_residue`` is the transport-theorem gap one residue at a
@@ -188,6 +190,17 @@ def companion_roots(n):
     safe = slopes != 0
     roots[safe] -= np.polyval(coeffs, roots[safe]) / slopes[safe]
     return roots
+
+
+def dense_disk_gap(centers, radii):
+    """The smallest gap |c_i - c_j| - r_i - r_j over every pair of distinct disks.
+
+    The full gap matrix, each pair in both rounding orders, its diagonal excluded; an
+    infinite radius gives -inf.
+    """
+    gaps = np.abs(centers[:, None] - centers) - radii[:, None] - radii
+    np.fill_diagonal(gaps, np.inf)
+    return float(np.min(gaps))
 
 
 def map_to_z(y, sheet=1):

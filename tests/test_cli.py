@@ -815,7 +815,7 @@ def test_error_report_keeps_diagnostics(capsys):
 
 
 def test_zeros_failure_reports_diagnostics_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(auxfun, "_ABERTH_SWEEPS", 1)
+    monkeypatch.setattr(auxfun, "_SWEEPS", 1)
     out = tmp_path / "zeros.json"
     assert main(["zeros", "--n", "64", "--out", str(out)]) == 1
     report = json.loads(capsys.readouterr().out)

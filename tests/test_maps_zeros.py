@@ -24,7 +24,7 @@ from circledual import (
     sqrt_series_zeros,
 )
 from circledual.cli import main
-from oracles import companion_roots, map_to_z, neville_at_zero
+from oracles import companion_roots, dense_disk_gap, map_to_z, neville_at_zero
 
 ROUND_TRIP_TOL = 1e-12
 
@@ -359,10 +359,11 @@ def test_written_residuals_match_mpmath(degree, tmp_path):
 
 
 def test_zero_finder_builds_no_full_power_table():
-    """q and q' by blocks need a (points x (isqrt(degree) + 2)) power table, not
-    (points x degree).  At degree 512 the difference matrices of two consecutive Aberth
-    sweeps, (m/2 x m) each, overlap for a peak of 2.18 (m/2 x degree) complex tables;
-    a full power table at the inclusion step, beside the last sweep's matrix, took 2.56."""
+    """q, q' and q'' by blocks need a (points x (isqrt(degree) + 2)) power table, not
+    (points x degree), and Halley's step and the swept disk check need no (m/2 x m)
+    matrix.  At degree 512 the peak is 0.36 (m/2 x degree) complex tables, so the bound
+    0.5 leaves 38 % headroom; the Aberth difference matrices of two consecutive sweeps
+    overlapped for 2.18, and a full power table beside them took 2.56."""
     degree = 512
     table = (degree - 1) // 2 * degree * 16
     sqrt_series_zeros(degree)
@@ -372,7 +373,100 @@ def test_zero_finder_builds_no_full_power_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.3 * table, peak / table
+    assert peak <= 0.5 * table, peak / table
+
+
+def test_zeros_certified_past_the_cap(monkeypatch):
+    """With the degree cap lifted, 1024, 2048 and 4096 certify within 3 sweeps, and
+    degree 4096 peaks at 9.2 MiB (bound 12 MiB); the Aberth matrices took 388 MiB."""
+    monkeypatch.setattr(auxfun, "MAX_ZERO_DEGREE", 4096)
+    monkeypatch.setattr(auxfun, "_SWEEPS", 3)
+    for degree in (1024, 2048):
+        assert sqrt_series_zeros(degree).roots.size == degree
+    tracemalloc.start()
+    try:
+        zero_set = sqrt_series_zeros(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zero_set.roots.size == 4096 and zero_set.residual <= 1e-8 * math.sqrt(4096)
+    assert peak <= 12 * 2**20, peak / 2**20
+
+
+def _finder_disks(monkeypatch, degrees):
+    """The centres and radii that sqrt_series_zeros hands its disk check, per degree."""
+    seen, check = [], auxfun._disk_gap
+    monkeypatch.setattr(auxfun, "_disk_gap", lambda *disks: seen.append(disks) or check(*disks))
+    for degree in degrees:
+        sqrt_series_zeros(degree)
+    monkeypatch.undo()
+    return seen
+
+
+def test_swept_disk_check_agrees_with_the_dense_oracle(monkeypatch):
+    """On the finder's own disks both checks find every pair disjoint; the sweep's gap is
+    the smallest over the pairs it compares, so never below the dense one."""
+    degrees = sorted({*range(2, 513, 17), 3, 4, 511, 512})
+    for degree, (centers, radii) in zip(degrees, _finder_disks(monkeypatch, degrees)):
+        assert centers.size == degree and radii[-1] == 0.0
+        swept, dense = auxfun._disk_gap(centers, radii), dense_disk_gap(centers, radii)
+        assert swept >= dense > 0, (degree, swept, dense)
+
+
+def _copied_root(centers, radii, moving):
+    centers[1] = centers[0]
+
+
+def _touching_radius(centers, radii, moving):
+    # widen disk 5 until its edge reaches the nearest other disk's edge
+    others = np.arange(centers.size) != 5
+    radii[5] = np.min(np.abs(centers[others] - centers[5]) - radii[others])
+
+
+def _pair_on_the_real_axis(centers, radii, moving):
+    centers[0] = centers[moving] = centers[0].real
+
+
+def _infinite_radius(centers, radii, moving):
+    radii[3] = np.inf
+
+
+@pytest.mark.parametrize("degree", [64, 65, 512])
+@pytest.mark.parametrize(
+    "defect", [_copied_root, _touching_radius, _pair_on_the_real_axis, _infinite_radius]
+)
+def test_swept_disk_check_catches_planted_overlaps(monkeypatch, degree, defect):
+    """Planted overlaps among the finder's disks: the sweep and the dense oracle give the
+    same verdict and, where disks overlap, the same smallest gap."""
+    centers, radii = (a.copy() for a in _finder_disks(monkeypatch, [degree])[0])
+    # layout: the degree // 2 moving iterates (the upper ones, then the real one when
+    # degree - 1 is odd), the conjugates of the upper ones, then 0
+    moving = degree // 2
+    assert np.array_equal(centers[moving:-1], centers[: (degree - 1) // 2].conj())
+    defect(centers, radii, moving)
+    swept, dense = auxfun._disk_gap(centers, radii), dense_disk_gap(centers, radii)
+    assert dense <= 4.0 * sys.float_info.epsilon
+    assert (swept > 0) == (dense > 0)
+    if dense <= 0:
+        assert swept == dense
+
+
+def test_two_iterates_started_at_one_point_fail_the_disk_check(monkeypatch):
+    """Aberth's step pushed iterates apart; Halley's does not, so two iterates started at
+    one point converge to one root, and the disk check must refuse the set."""
+    start = auxfun._asymptotic_start
+
+    def collide(degree, inner, outer):
+        z = start(degree, inner, outer)
+        z[1] = z[0]
+        return z
+
+    monkeypatch.setattr(auxfun, "_asymptotic_start", collide)
+    with pytest.raises(ZeroFindingError) as excinfo:
+        sqrt_series_zeros(64)
+    diagnostics = excinfo.value.diagnostics
+    assert diagnostics["disk_gap"] <= 0
+    assert diagnostics["unconverged"] == 0 and diagnostics["residual"] <= diagnostics["bound"]
 
 
 @pytest.mark.parametrize("degree", sorted({*range(1, 513, 32), 2, 255, 256, 511, 512}))
@@ -387,7 +481,7 @@ def test_zeros_match_the_companion_oracle(degree):
 
 
 def test_zeros_report_a_failed_iteration(monkeypatch):
-    monkeypatch.setattr(auxfun, "_ABERTH_SWEEPS", 1)
+    monkeypatch.setattr(auxfun, "_SWEEPS", 1)
     with pytest.raises(ZeroFindingError) as excinfo:
         sqrt_series_zeros(64)
     diagnostics = excinfo.value.diagnostics
@@ -398,9 +492,9 @@ def test_zeros_report_a_failed_iteration(monkeypatch):
 
 
 def test_zeros_certified_within_three_sweeps_at_every_accepted_degree(monkeypatch):
-    """From the asymptotic start every degree converges in 3 Aberth sweeps;
+    """From the asymptotic start every degree converges in 3 Halley sweeps;
     a start on the outer circle needs 5-32 and fails this."""
-    monkeypatch.setattr(auxfun, "_ABERTH_SWEEPS", 3)
+    monkeypatch.setattr(auxfun, "_SWEEPS", 3)
     for degree in range(1, auxfun.MAX_ZERO_DEGREE + 1):
         sqrt_series_zeros(degree)
 
