@@ -455,7 +455,7 @@ class ZeroSet:
         return float(np.mean(np.abs(np.abs(self.roots) - 1.0) < 0.1))
 
 
-MAX_ZERO_DEGREE = 512
+MAX_ZERO_DEGREE = 4096
 
 
 class _QuotientBlocks(NamedTuple):
@@ -494,31 +494,34 @@ def _quotient_blocks(degree: int) -> _QuotientBlocks:
 
 
 def _giant_steps(inner: np.ndarray, giant: np.ndarray) -> np.ndarray:
-    """sum_b inner[:, b] giant^b by Horner's rule, for (points, blocks, columns) sums."""
-    acc = inner[:, -1]
-    for b in range(inner.shape[1] - 2, -1, -1):
-        acc = acc * giant[:, None] + inner[:, b]
-    return acc
+    """sum_b inner[:, b] giant^b for (points, blocks, columns) sums: the table
+    giant^0 .. giant^(blocks-1) times the inner sums, one batched product."""
+    table = _powers(giant, inner.shape[1])
+    return (table[:, None, :] @ inner)[:, 0, :]
 
 
 def _quotient_values(z: np.ndarray, blocks: _QuotientBlocks, slack: bool = False):
     """q, q' and q'' at the points z, (points, 3).
 
     A (points x (B+1)) power table, one real product with the coefficient
-    blocks for the inner sums of B terms, then Horner in z^B over the
-    blocks.  With ``slack``, also sum_j |c_j| |z|^j for the coefficients
-    c_j of q and of q', on the same route from |z^i| and |z^B|.
+    blocks for the inner sums of B terms, then the giant steps: a table of
+    (z^B)^0 .. (z^B)^(blocks-1) times the inner sums, one batched product
+    (``_giant_steps``).  With ``slack``, also sum_j |c_j| |z|^j for the
+    coefficients c_j of q and of q', on the same route from |z^i| and |z^B|.
 
     Rounding, to first order in eps: the term c_j z^j, j = b B + i, errs by
-    at most (1 + 1.42 j + 0.71 B + 0.5 blocks) eps |c_j| |z|^j.  Its
-    coefficient is rounded once or twice (1 eps); z^i takes i - 1 complex
-    products and its giant steps b B more, each within sqrt(2) gamma_2 <
-    1.42 eps; the inner sum of B real terms, taken in real and imaginary
-    parts, errs by sqrt(2) gamma_B; each block adds one complex sum (eps/2).
+    at most (1 + 1.42 j + 0.71 B + 0.71 blocks) eps |c_j| |z|^j.  Its
+    coefficient is rounded once or twice (1 eps).  It takes at most
+    max(i - 1, 0) + (B - 1) + (b - 1) + 1 <= j complex products: z^i and z^B
+    from the power table, (z^B)^b from the giant table and the product with
+    the inner sum (none of the last three for b = 0), each within
+    sqrt(2) gamma_2 < 1.42 eps.  The inner sum of B real terms, taken in
+    real and imaginary parts, errs by sqrt(2) gamma_B, and the sum over the
+    blocks, a complex dot product of length blocks, by sqrt(2) gamma_blocks.
     With j <= degree - 1 and B, blocks <= sqrt(degree) + 1, that stays below
-    4 degree eps sum_j |c_j| |z|^j, the finder's slack, at every degree >= 2.
-    q'' only steers the iteration and enters no certificate, so it needs no
-    such bound.
+    4 degree eps sum_j |c_j| |z|^j, the finder's slack, at every degree
+    from 2 to MAX_ZERO_DEGREE.  q'' only steers the iteration and enters no
+    certificate, so it needs no such bound.
     """
     powers = _powers(z, blocks.step + 1)
     inner = (powers.view(np.float64) @ blocks.pairs).view(np.complex128)
@@ -612,7 +615,7 @@ def sqrt_series_zeros(degree: int) -> ZeroSet:
 
     The start is the asymptotic root (``_asymptotic_start``).  At degree
     250 the starts lie within 1.7e-5 of the roots (median 1.4e-7), and every
-    degree from 3 to 512 converges in 3 sweeps.
+    degree from 3 to 4096 converges in 3 sweeps.
 
     Each sweep takes Halley's step z <- z - (q/q') / (1 - (q/q') q''/(2 q'))
     (W. Gander, Amer. Math. Monthly 92, 1985).  At a simple root the sum

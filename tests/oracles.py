@@ -13,9 +13,10 @@ a|n> = sqrt(n)|n-1> written entry by entry.  ``reference_csv`` and
 through one scalar formatter, every JSON array through one recursive
 renderer; ``reference_fields`` is the text of one writer block by the same
 formatter.  ``companion_roots`` finds the roots of S_n as eigenvalues of
-the companion matrix (``np.roots``) polished by one Newton step, and
+the companion matrix (``np.roots``) polished by one Newton step,
 ``dense_disk_gap`` checks inclusion disks through the full (disks x disks)
-gap matrix.
+gap matrix, and ``horner_giant_steps`` sums the zero finder's blocks by
+Horner's rule in the giant step.
 ``gaussian_states_one_by_one`` draws random states one per call, n real
 then n imaginary parts, each over its ``np.linalg.norm``.
 ``duality_gaps_per_residue`` is the transport-theorem gap one residue at a
@@ -201,6 +202,15 @@ def dense_disk_gap(centers, radii):
     gaps = np.abs(centers[:, None] - centers) - radii[:, None] - radii
     np.fill_diagonal(gaps, np.inf)
     return float(np.min(gaps))
+
+
+def horner_giant_steps(inner, giant):
+    """sum_b inner[:, b] giant^b for (points, blocks, columns) block sums, by Horner's rule
+    in giant, one block per step from the last."""
+    acc = inner[:, -1]
+    for b in range(inner.shape[1] - 2, -1, -1):
+        acc = acc * giant[:, None] + inner[:, b]
+    return acc
 
 
 def map_to_z(y, sheet=1):

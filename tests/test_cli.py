@@ -667,7 +667,7 @@ def test_semantic_errors_exit_one(tmp_path, capsys):
     assert main(["auxfun-eval", "--function", "f", "--out", str(tmp_path / "a.csv")]) == 1
     assert main(["auxfun-eval", "--function", "GN", "--z", "1:0", "--out", str(tmp_path / "b.csv")]) == 1
     assert main(["map-domains", "--radii", "1.5", "--out", str(tmp_path / "m.csv")]) == 1
-    assert main(["zeros", "--n", "700", "--out", str(tmp_path / "z.json")]) == 1
+    assert main(["zeros", "--n", "4097", "--out", str(tmp_path / "z.json")]) == 1
     assert main(["spectrum", "--n", "3", "--out", str(tmp_path / "nodir" / "x.csv")]) == 1
     for line in capsys.readouterr().out.strip().split("\n"):
         assert json.loads(line)["status"] == "error"

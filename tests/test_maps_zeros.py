@@ -24,7 +24,13 @@ from circledual import (
     sqrt_series_zeros,
 )
 from circledual.cli import main
-from oracles import companion_roots, dense_disk_gap, map_to_z, neville_at_zero
+from oracles import (
+    companion_roots,
+    dense_disk_gap,
+    horner_giant_steps,
+    map_to_z,
+    neville_at_zero,
+)
 
 ROUND_TRIP_TOL = 1e-12
 
@@ -281,11 +287,22 @@ def _zero_set_faults(degree, roots):
     return faults
 
 
+# the accepted degrees that the every-degree tests check: all up to 512, then a sample
+# (every 251st from 513, the powers of two and the two top degrees) that keeps the dense
+# disk check of _zero_set_faults near 3 s; a scan of every degree 513..4096 with the
+# sweep cap at 3 certified them all (CHANGES.md)
+_CHECKED_DEGREES = sorted(
+    {*range(1, 513), *range(513, auxfun.MAX_ZERO_DEGREE + 1, 251), 1024, 2048,
+     auxfun.MAX_ZERO_DEGREE - 1, auxfun.MAX_ZERO_DEGREE}
+)
+
+
 def test_zeros_hold_every_check_at_every_accepted_degree():
-    """Every degree the CLI accepts: residual <= 1e-8 * max coefficient,
-    disjoint inclusion disks, exact conjugate pairs, exactly real real roots."""
+    """Every degree the CLI accepts up to 512, and a sample above: residual <= 1e-8 *
+    max coefficient, disjoint inclusion disks, exact conjugate pairs, exactly real real
+    roots."""
     faults = {}
-    for degree in range(1, auxfun.MAX_ZERO_DEGREE + 1):
+    for degree in _CHECKED_DEGREES:
         found = _zero_set_faults(degree, sqrt_series_zeros(degree).roots)
         if found:
             faults[degree] = found
@@ -297,13 +314,19 @@ def test_zeros_hold_every_check_at_every_accepted_degree():
 _AUDITED_DEGREES = [2, 3, 17, 64, 250, 511, 512]
 
 
+def _final_iterates(degree):
+    """The nonzero roots with Im >= 0, the points that the finder iterates."""
+    roots = sqrt_series_zeros(degree).roots
+    return roots[(roots.imag >= 0) & (roots != 0)]
+
+
 @functools.cache
 def _exact_at_roots(degree):
-    """The final iterates (the nonzero roots with Im >= 0), and S_degree, q = S_degree / z
-    and q' there by mpmath at 40 digits, from the exact coefficients sqrt(k)."""
+    """The final iterates, every 8th of them above degree 512, and S_degree,
+    q = S_degree / z and q' there by mpmath at 40 digits, from the exact
+    coefficients sqrt(k)."""
     mpmath = pytest.importorskip("mpmath")
-    roots = sqrt_series_zeros(degree).roots
-    z = roots[(roots.imag >= 0) & (roots != 0)]
+    z = _final_iterates(degree)[:: 1 if degree <= 512 else 8]
     exact = []
     with mpmath.workdps(40):
         coeffs = [mpmath.sqrt(k) for k in range(degree, 0, -1)] + [0]
@@ -321,10 +344,11 @@ def _quotient_slack(degree, z):
     return values, 4.0 * degree * sys.float_info.epsilon * slack
 
 
-@pytest.mark.parametrize("degree", _AUDITED_DEGREES)
+@pytest.mark.parametrize("degree", [*_AUDITED_DEGREES, 1024])
 def test_blocked_quotient_is_within_its_slack(degree):
-    """The inclusion radii widen q and q' by their slack; at the final roots the blocked
-    route's q and q' must lie within it of the exact values."""
+    """The inclusion radii widen q and q' by their slack; at the final roots (a sample of
+    64 at degree 1024) the blocked route's q and q' must lie within it of the exact
+    values."""
     mpmath = pytest.importorskip("mpmath")
     z, exact = _exact_at_roots(degree)
     values, slack = _quotient_slack(degree, z)
@@ -358,6 +382,54 @@ def test_written_residuals_match_mpmath(degree, tmp_path):
     assert residuals.max() <= bound and truth.max() <= bound
 
 
+def _giant_step_disagreement(monkeypatch, degree, giant_steps):
+    """The largest |batched - Horner| / slack over q, q' and their slack sums at the final
+    iterates, the batched route's giant steps taken by ``giant_steps``: both routes share
+    the inner sums and differ only in how the blocks are summed."""
+    z = _final_iterates(degree)
+    blocks = auxfun._quotient_blocks(degree)
+    with monkeypatch.context() as patch:
+        patch.setattr(auxfun, "_giant_steps", horner_giant_steps)
+        horner, horner_slack = auxfun._quotient_values(z, blocks, slack=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(auxfun, "_giant_steps", giant_steps)
+        values, slack = auxfun._quotient_values(z, blocks, slack=True)
+    scale = 4.0 * degree * sys.float_info.epsilon * slack
+    return max(float(np.max(np.abs(values[:, :2] - horner[:, :2]) / scale)),
+               float(np.max(np.abs(slack - horner_slack) / scale)))
+
+
+@pytest.mark.parametrize("degree", [*_AUDITED_DEGREES, 1024, 4096])
+def test_batched_giant_steps_agree_with_horner(monkeypatch, degree):
+    """The batched product of the giant powers with the block sums gives q, q' and the
+    slack sums of Horner's rule in z^B, within the slack 4 degree eps sum |c_j| |z|^j."""
+    assert _giant_step_disagreement(monkeypatch, degree, auxfun._giant_steps) <= 1.0
+
+
+@pytest.mark.parametrize("degree", [d for d in (*_AUDITED_DEGREES, 1024, 4096) if d > 2])
+def test_planted_giant_step_error_fails_the_horner_check(monkeypatch, degree):
+    """A giant step z^B off by a relative 1e-12 moves block b by about b 1e-12, beyond
+    the slack; degree 2 has one block, so its giant step is never used."""
+    batched = auxfun._giant_steps
+
+    def planted(inner, giant):
+        return batched(inner, giant * (1.0 + 1e-12))
+
+    assert _giant_step_disagreement(monkeypatch, degree, planted) > 1.0
+
+
+def test_rounding_bound_fits_the_slack_at_every_accepted_degree():
+    """_quotient_values bounds the error of the term c_j z^j by (1 + 1.42 j + 0.71 B +
+    0.71 blocks) eps |c_j| |z|^j; with the finder's own block shapes that stays below
+    the slack 4 degree eps |c_j| |z|^j for every j <= degree - 1, at every degree."""
+    for degree in range(2, auxfun.MAX_ZERO_DEGREE + 1):
+        blocks = auxfun._quotient_blocks(degree)
+        count = blocks.magnitudes.shape[1] // 2
+        assert blocks.step * count >= degree > blocks.step * (count - 1)
+        bound = 1.0 + 1.42 * (degree - 1) + 0.71 * (blocks.step + count)
+        assert bound < 4.0 * degree, degree
+
+
 def test_zero_finder_builds_no_full_power_table():
     """q, q' and q'' by blocks need a (points x (isqrt(degree) + 2)) power table, not
     (points x degree), and Halley's step and the swept disk check need no (m/2 x m)
@@ -376,13 +448,12 @@ def test_zero_finder_builds_no_full_power_table():
     assert peak <= 0.5 * table, peak / table
 
 
-def test_zeros_certified_past_the_cap(monkeypatch):
-    """With the degree cap lifted, 1024, 2048 and 4096 certify within 3 sweeps, and
-    degree 4096 peaks at 9.2 MiB (bound 12 MiB); the Aberth matrices took 388 MiB."""
-    monkeypatch.setattr(auxfun, "MAX_ZERO_DEGREE", 4096)
+def test_zeros_certified_at_the_cap(monkeypatch):
+    """The top accepted degree, 4096, certifies within 3 sweeps and peaks at 10.9 MiB
+    (bound 12 MiB): the (points x 64) giant table of the batched block sums adds 1.7 MiB
+    to Horner's 9.2 MiB, and the Aberth matrices took 388 MiB."""
+    assert auxfun.MAX_ZERO_DEGREE == 4096
     monkeypatch.setattr(auxfun, "_SWEEPS", 3)
-    for degree in (1024, 2048):
-        assert sqrt_series_zeros(degree).roots.size == degree
     tracemalloc.start()
     try:
         zero_set = sqrt_series_zeros(4096)
@@ -492,10 +563,10 @@ def test_zeros_report_a_failed_iteration(monkeypatch):
 
 
 def test_zeros_certified_within_three_sweeps_at_every_accepted_degree(monkeypatch):
-    """From the asymptotic start every degree converges in 3 Halley sweeps;
-    a start on the outer circle needs 5-32 and fails this."""
+    """From the asymptotic start every degree up to 512, and the sample above, converges
+    in 3 Halley sweeps; a start on the outer circle needs 5-32 and fails this."""
     monkeypatch.setattr(auxfun, "_SWEEPS", 3)
-    for degree in range(1, auxfun.MAX_ZERO_DEGREE + 1):
+    for degree in _CHECKED_DEGREES:
         sqrt_series_zeros(degree)
 
 
@@ -509,7 +580,7 @@ def test_zero_degree_bounds():
     with pytest.raises(DimensionError):
         sqrt_series_zeros(0)
     with pytest.raises(DimensionError):
-        sqrt_series_zeros(513)
+        sqrt_series_zeros(4097)
 
 
 def test_zero_set_validation():
